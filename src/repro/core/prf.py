@@ -96,13 +96,15 @@ def validate_value_bits(value: Sequence[int]) -> Tuple[int, ...]:
 
     Rejecting non-binary bits (instead of silently masking them) keeps
     :func:`encode_input` injective: masking with ``& 1`` would make a
-    value bit of 2 collide with 0, so two distinct queries would hash to
-    the same PRF point.
+    value bit of 2 collide with 0, and truncating would make 1.5 collide
+    with 1, so two distinct queries would hash to the same PRF point.  A
+    bit must *equal* 0 or 1: ``True``, ``np.uint8(1)`` and ``1.0`` pass;
+    ``1.5`` and the string ``"1"`` do not.
     """
     bits = []
     for bit in value:
         as_int = int(bit)
-        if as_int not in (0, 1):
+        if as_int not in (0, 1) or bit != as_int:
             raise ValueError(f"value bits must be 0 or 1, got {bit!r}")
         bits.append(as_int)
     return tuple(bits)
@@ -562,6 +564,42 @@ class CounterPRF(BiasedFunction):
             out = (out << 1) | bit
         return out
 
+    def _value_ints(
+        self, subset_t: Tuple[int, ...], values: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """:meth:`_value_int` of every candidate value, as one uint64 array.
+
+        ``values`` may be bit tuples or a ``(V, |B|)`` array (what
+        :meth:`~repro.core.sketch.Sketcher.sketch_many` holds): width and
+        0/1 are checked once for the whole batch and the bits pack
+        MSB-first column by column.  Whatever that array check cannot
+        vouch for — ragged or mis-sized rows, non-numeric bits, a bit
+        other than 0 or 1 — is packed value by value through
+        :meth:`_value_int`, so both paths refuse exactly the same inputs
+        with the same errors.
+        """
+        try:
+            matrix = np.asarray(values)
+        except ValueError:  # ragged rows
+            matrix = None
+        if (
+            matrix is None
+            or matrix.ndim != 2
+            or matrix.shape[1] != len(subset_t)
+            or len(subset_t) > self._MAX_WIDTH
+            or matrix.dtype.kind not in "biuf"
+            or not ((matrix == 0) | (matrix == 1)).all()
+        ):
+            return np.array(
+                [self._value_int(subset_t, value) for value in values],
+                dtype=np.uint64,
+            )
+        packed = np.zeros(matrix.shape[0], dtype=np.uint64)
+        for column in matrix.T:
+            packed <<= np.uint64(1)
+            packed |= column.astype(np.uint64)
+        return packed
+
     def _words(self, c0, c1, k0, k1) -> Tuple[np.ndarray, ...]:
         """Philox output block at ``(c0, c1, 0, 0)`` under ``(k0, k1)``."""
         zero = np.uint64(0)
@@ -638,9 +676,7 @@ class CounterPRF(BiasedFunction):
                 f"user_ids and keys must align, got {len(users)} and {key_array.size}"
             )
         subset_t = tuple(int(b) for b in subset)
-        v_ints = np.array(
-            [self._value_int(subset_t, value) for value in values], dtype=np.uint64
-        )
+        v_ints = self._value_ints(subset_t, values)
         num_users, num_values = len(users), v_ints.size
         if num_users == 0 or num_values == 0:
             return np.zeros((num_users, num_values), dtype=np.int8)
@@ -681,9 +717,7 @@ class CounterPRF(BiasedFunction):
         num_users, num_keys = rows.shape
         if num_users == 0 or num_keys == 0:
             return np.zeros((num_users, num_keys), dtype=np.int8)
-        v_ints = np.array(
-            [self._value_int(subset_t, value) for value in values], dtype=np.uint64
-        )
+        v_ints = self._value_ints(subset_t, values)
         subkey0, subkey1 = self._subkey_columns([str(uid) for uid in user_ids], subset_t)
         # Each user reads one fixed output lane (their value's two low
         # bits); the kernel tier fuses expansion, lane select and compare.

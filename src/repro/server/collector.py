@@ -147,106 +147,217 @@ class AlignedColumns(NamedTuple):
     keys: List[np.ndarray]  # uint64, gathered publication keys per subset
 
 
+def _iterations_dtype(top: int) -> type:
+    """The columnar iteration dtype for counts up to ``top``.
+
+    uint16 covers every realistic iteration count (Lemma 3.1: ~10-bit
+    sketches, expected iterations ~1/p^2); a pathological store keeps
+    full width rather than overflowing silently.
+    """
+    return np.uint16 if top < 1 << 16 else np.uint32
+
+
+def _narrowed(iterations: np.ndarray) -> np.ndarray:
+    """``iterations`` in the dtype of :func:`_iterations_dtype` (no copy
+    when it already is uint16)."""
+    if iterations.dtype == np.uint16:
+        return iterations
+    top = int(iterations.max()) if iterations.size else 0
+    return iterations.astype(_iterations_dtype(top))
+
+
+def _regrown(array: np.ndarray, size: int, capacity: int, dtype) -> np.ndarray:
+    """A fresh ``capacity``-row buffer holding ``array``'s first ``size`` rows."""
+    out = np.empty(capacity, dtype=dtype)
+    out[:size] = array[:size]
+    return out
+
+
+class _Column:
+    """One subset's sketches: append-only parallel arrays.
+
+    ``keys``/``num_bits``/``iterations`` hold ``size`` rows followed by
+    spare capacity.  Rows below ``size`` are never written again, so a
+    :class:`SketchColumn` handed out by :meth:`view` keeps its lengths
+    and contents however the column grows afterwards.  A *parked* column
+    (one bulk-published :class:`SketchColumn`, e.g. a loaded file) has no
+    spare capacity and may share its arrays with the caller; the first
+    append copies it into buffers of its own.  The id list is shared
+    with the last view and copied before it is next extended.
+    """
+
+    __slots__ = ("user_ids", "keys", "num_bits", "iterations", "size",
+                 "published", "top", "snapshot")
+
+    def __init__(self, column: SketchColumn) -> None:
+        self.user_ids, self.keys, self.num_bits, self.iterations = column
+        self.size = len(self.user_ids)
+        # Built on the first append: the published ids (for the
+        # duplicate refusal) and the largest iteration count (for the
+        # dtype rule).  A column that is only ever read never pays.
+        self.published: set | None = None
+        self.top = 0
+        self.snapshot: SketchColumn | None = column
+
+    def view(self) -> SketchColumn:
+        if self.snapshot is None:
+            size = self.size
+            self.snapshot = SketchColumn(
+                self.user_ids,
+                self.keys[:size],
+                self.num_bits[:size],
+                self.iterations[:size],
+            )
+        return self.snapshot
+
+    def _refuse_published(self, subset: Subset, user_ids: Sequence[str]) -> None:
+        if self.published is None:
+            self.published = set(self.user_ids)
+            self.top = int(self.iterations[: self.size].max())
+        duplicates = self.published.intersection(user_ids)
+        if duplicates:
+            raise ValueError(
+                f"user {min(duplicates)!r} already published a sketch for "
+                f"subset {subset}"
+            )
+
+    def _reserve(self, count: int, top: int) -> None:
+        """Make room for ``count`` rows whose largest iteration count is ``top``."""
+        if self.snapshot is not None:
+            self.user_ids = list(self.user_ids)
+            self.snapshot = None
+        self.top = max(self.top, top)
+        dtype = _iterations_dtype(self.top)
+        size, capacity = self.size, self.keys.shape[0]
+        if size + count > capacity:
+            capacity = max(size + count, 2 * size, 16)
+            self.keys = _regrown(self.keys, size, capacity, np.uint64)
+            self.num_bits = _regrown(self.num_bits, size, capacity, np.uint8)
+            self.iterations = _regrown(self.iterations, size, capacity, dtype)
+        elif self.iterations.dtype != dtype:
+            self.iterations = _regrown(self.iterations, size, capacity, dtype)
+
+    def extend(self, subset: Subset, column: SketchColumn) -> None:
+        """Append a validated column; a chunk holding an already-published
+        user raises and leaves the column unchanged."""
+        self._refuse_published(subset, column.user_ids)
+        count = len(column.user_ids)
+        self._reserve(count, int(column.iterations.max()))
+        start, end = self.size, self.size + count
+        self.keys[start:end] = column.keys
+        self.num_bits[start:end] = column.num_bits
+        self.iterations[start:end] = column.iterations
+        self.user_ids.extend(column.user_ids)
+        self.published.update(column.user_ids)
+        self.size = end
+
+    def append(self, sketch: Sketch) -> None:
+        """Append one sketch in amortised O(1)."""
+        user_id = sketch.user_id
+        self._refuse_published(sketch.subset, (user_id,))
+        self._reserve(1, sketch.iterations)
+        size = self.size
+        self.keys[size] = sketch.key
+        self.num_bits[size] = sketch.num_bits
+        self.iterations[size] = sketch.iterations
+        self.user_ids.append(user_id)
+        self.published.add(user_id)
+        self.size = size + 1
+
+
 class SketchStore:
     """Column store of published sketches, keyed by subset.
 
     Sketches for the same subset are kept in publication order; most
     queries need them *user-aligned* across subsets, which
     :meth:`aligned_columns` provides at the array level (and
-    :meth:`aligned_groups` as materialised records).
+    :meth:`aligned_groups` as records).
 
-    Internally a subset's column lives in one of two states: a dict of
-    :class:`~repro.core.sketch.Sketch` records (anything published
-    through :meth:`publish`), or a **lazy** :class:`SketchColumn` of
-    parallel arrays (anything bulk-loaded through :meth:`from_columns`,
-    e.g. the columnar v2 file format).  Lazy columns are validated
-    vectorially up front but only materialised into ``Sketch`` objects
-    when a caller actually asks for records (:meth:`sketches_for`,
-    :meth:`aligned_groups`, or publishing into the same subset); the
-    column-speaking paths — :meth:`column_for`, :meth:`to_columns`, the
-    evaluation cache, serialization — never pay the per-object cost.
+    Each subset lives in one representation: append-only parallel
+    arrays, the :class:`SketchColumn` layout of the columnar v2 format.
+    A bulk-published column (:meth:`from_columns`, e.g. a loaded file)
+    is validated vectorially and parked as it is, without a copy.
+    Appends — :meth:`publish_column` in bulk, :meth:`publish` one sketch
+    at a time — cost O(appended rows), amortised: rows land in spare
+    capacity, and a set of the subset's published ids, built on the
+    first append, enforces one sketch per user.  :meth:`column_for` and
+    :meth:`to_columns` hand out array views and never rebuild anything;
+    :class:`~repro.core.sketch.Sketch` records exist only when a caller
+    asks for them (:meth:`sketches_for`, :meth:`aligned_groups`).
     """
 
     def __init__(self) -> None:
-        # Value is a dict of materialised sketches, or None while the
-        # column is still lazy (arrays parked in _lazy).  Keeping the
-        # placeholder in _by_subset preserves one insertion order across
-        # both states.
-        self._by_subset: Dict[Subset, Dict[str, Sketch] | None] = {}
-        self._lazy: Dict[Subset, SketchColumn] = {}
-
-    def _materialise(self, subset: Subset) -> None:
-        """Convert one lazy column into Sketch records (validated at load)."""
-        column = self._lazy.pop(subset, None)
-        if column is None:
-            return
-        trusted = Sketch._trusted
-        self._by_subset[subset] = {
-            uid: trusted(uid, subset, key, bits, its)
-            for uid, key, bits, its in zip(
-                column.user_ids,
-                column.keys.tolist(),
-                column.num_bits.tolist(),
-                column.iterations.tolist(),
-            )
-        }
+        self._columns: Dict[Subset, _Column] = {}
 
     def publish(self, sketch: Sketch) -> None:
         """Record one published sketch (idempotence is an error: a user
         publishing two sketches of the same subset would spend extra
         privacy budget for no utility)."""
-        if self._by_subset.get(sketch.subset) is None and sketch.subset in self._lazy:
-            self._materialise(sketch.subset)
-        column = self._by_subset.setdefault(sketch.subset, {})
-        if sketch.user_id in column:
-            raise ValueError(
-                f"user {sketch.user_id!r} already published a sketch for "
-                f"subset {sketch.subset}"
+        column = self._columns.get(sketch.subset)
+        if column is not None:
+            column.append(sketch)
+            return
+        iterations = np.array(
+            [sketch.iterations], dtype=_iterations_dtype(sketch.iterations)
+        )
+        self._columns[sketch.subset] = _Column(
+            SketchColumn(
+                [sketch.user_id],
+                np.array([sketch.key], dtype=np.uint64),
+                np.array([sketch.num_bits], dtype=np.uint8),
+                iterations,
             )
-        column[sketch.user_id] = sketch
+        )
+
+    def _column(self, subset: Sequence[int]) -> _Column:
+        key = tuple(subset)
+        column = self._columns.get(key)
+        if column is None:
+            raise KeyError(
+                f"no sketches published for subset {key}; available: "
+                f"{sorted(self._columns)}"
+            )
+        return column
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def subsets(self) -> Tuple[Subset, ...]:
-        return tuple(self._by_subset)
+        return tuple(self._columns)
 
     def has_subset(self, subset: Sequence[int]) -> bool:
-        return tuple(subset) in self._by_subset
+        return tuple(subset) in self._columns
 
     def num_users(self, subset: Sequence[int]) -> int:
-        key = tuple(subset)
-        column = self._by_subset.get(key)
-        if column is None:
-            lazy = self._lazy.get(key)
-            return len(lazy.user_ids) if lazy is not None else 0
-        return len(column)
+        column = self._columns.get(tuple(subset))
+        return column.size if column is not None else 0
 
     def total_published_bits(self) -> int:
         """Total size of everything published, in bits (experiment E8)."""
-        total = 0
-        for key, column in self._by_subset.items():
-            if column is None:
-                total += int(self._lazy[key].num_bits.sum())
-            else:
-                total += sum(sketch.size_bits for sketch in column.values())
-        return total
+        return sum(
+            int(column.num_bits[: column.size].sum())
+            for column in self._columns.values()
+        )
 
     # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
     def sketches_for(self, subset: Sequence[int]) -> List[Sketch]:
-        """All sketches published for one subset (stable user order)."""
+        """All sketches published for one subset (stable user order),
+        built as records on each call."""
         key = tuple(subset)
-        if key not in self._by_subset:
-            raise KeyError(
-                f"no sketches published for subset {key}; available: "
-                f"{sorted(self._by_subset)}"
+        column = self._column(key).view()
+        trusted = Sketch._trusted
+        return [
+            trusted(uid, key, sketch_key, bits, its)
+            for uid, sketch_key, bits, its in zip(
+                column.user_ids,
+                column.keys.tolist(),
+                column.num_bits.tolist(),
+                column.iterations.tolist(),
             )
-        if self._by_subset[key] is None:
-            self._materialise(key)
-        return list(self._by_subset[key].values())
+        ]
 
     # ------------------------------------------------------------------
     # Columnar bulk conversion (store format v2)
@@ -254,36 +365,11 @@ class SketchStore:
     def column_for(self, subset: Sequence[int]) -> SketchColumn:
         """One subset's sketches as parallel arrays (stable user order).
 
-        Zero-copy for lazily-loaded columns; otherwise built from the
-        materialised records.  Callers must not mutate the arrays — they
-        may be shared with the store's internal state.
+        A view, never a rebuild: later appends leave a returned column's
+        lengths and contents as they were.  Callers must not mutate the
+        arrays — they are shared with the store's internal state.
         """
-        key = tuple(subset)
-        if key not in self._by_subset:
-            raise KeyError(
-                f"no sketches published for subset {key}; available: "
-                f"{sorted(self._by_subset)}"
-            )
-        lazy = self._lazy.get(key)
-        if lazy is not None:
-            return lazy
-        sketches = list(self._by_subset[key].values())
-        count = len(sketches)
-        iterations = np.fromiter(
-            (s.iterations for s in sketches), dtype=np.int64, count=count
-        )
-        # uint16 covers every realistic iteration count (Lemma 3.1:
-        # ~10-bit sketches, expected iterations ~1/p^2); a pathological
-        # store keeps full width rather than overflowing silently.
-        it_dtype = np.uint16 if (count == 0 or iterations.max() < 1 << 16) else np.uint32
-        return SketchColumn(
-            user_ids=[s.user_id for s in sketches],
-            keys=np.fromiter((s.key for s in sketches), dtype=np.uint64, count=count),
-            num_bits=np.fromiter(
-                (s.num_bits for s in sketches), dtype=np.uint8, count=count
-            ),
-            iterations=iterations.astype(it_dtype),
-        )
+        return self._column(subset).view()
 
     def to_columns(self) -> Dict[Subset, SketchColumn]:
         """Decompose the store into per-subset :class:`SketchColumn` arrays.
@@ -292,7 +378,7 @@ class SketchStore:
         preserved, so ``from_columns(store.to_columns())`` reproduces the
         store exactly, iteration diagnostics included.
         """
-        return {subset: self.column_for(subset) for subset in self._by_subset}
+        return {subset: column.view() for subset, column in self._columns.items()}
 
     @staticmethod
     def _validated_column(subset_t: Subset, column: SketchColumn) -> SketchColumn | None:
@@ -342,37 +428,23 @@ class SketchStore:
         """Bulk-publish one subset's sketches from parallel arrays.
 
         The column-speaking counterpart of looping :meth:`publish`:
-        validation is vectorised, and when the subset is new to this
-        store the arrays are parked lazily — no per-:class:`Sketch`
-        objects are created until someone asks for records.  Publishing
-        into an existing column keeps the duplicate-user contract.
-        Returns the number of sketches published.
+        validation is vectorised, a subset new to this store parks the
+        arrays as they are, and an existing subset grows by the new rows
+        in O(rows).  Either way no :class:`Sketch` objects are created.
+        A column holding a user who already published for the subset
+        raises and leaves the store unchanged.  An append narrows the
+        subset's iteration counts to uint16 when they fit.  Returns the
+        number of sketches published.
         """
         subset_t = tuple(int(i) for i in subset)
         validated = self._validated_column(subset_t, column)
         if validated is None:
             return 0
-        if subset_t not in self._by_subset:
-            self._by_subset[subset_t] = None
-            self._lazy[subset_t] = validated
-            return len(validated.user_ids)
-        if self._by_subset[subset_t] is None:
-            self._materialise(subset_t)
-        existing = self._by_subset[subset_t]
-        duplicates = existing.keys() & set(validated.user_ids)
-        if duplicates:
-            raise ValueError(
-                f"user {min(duplicates)!r} already published a sketch for "
-                f"subset {subset_t}"
-            )
-        trusted = Sketch._trusted
-        for uid, key, bits, its in zip(
-            validated.user_ids,
-            validated.keys.tolist(),
-            validated.num_bits.tolist(),
-            validated.iterations.tolist(),
-        ):
-            existing[uid] = trusted(uid, subset_t, key, bits, its)
+        existing = self._columns.get(subset_t)
+        if existing is None:
+            self._columns[subset_t] = _Column(validated)
+        else:
+            existing.extend(subset_t, validated)
         return len(validated.user_ids)
 
     @classmethod
@@ -380,11 +452,10 @@ class SketchStore:
         """Bulk-construct a store from per-subset column arrays.
 
         Validation happens vectorially per column (key ranges, duplicate
-        users, aligned lengths) up front; the per-:class:`Sketch` records
-        are materialised lazily, only if a caller asks for them — the
-        column-speaking query paths never pay that cost.  This is what
-        makes the columnar load path an order of magnitude faster than
-        the per-record JSONL path at M=50k.
+        users, aligned lengths) and the arrays are kept as they are —
+        no per-:class:`Sketch` records.  This is what makes the columnar
+        load path an order of magnitude faster than the per-record JSONL
+        path at M=50k.
         """
         store = cls()
         for subset, column in columns.items():
@@ -420,9 +491,8 @@ class SketchStore:
         only users who published for *every* requested subset contribute,
         in a consistent (sorted) order, so position ``u`` of every
         returned view belongs to the same user — exactly the alignment
-        Appendix F's combination requires — without materialising a
-        single :class:`~repro.core.sketch.Sketch` record.  Lazily-loaded
-        (columnar v2) stores stay lazy.
+        Appendix F's combination requires — without building a single
+        :class:`~repro.core.sketch.Sketch` record.
 
         Raises
         ------
@@ -434,7 +504,7 @@ class SketchStore:
         keys = [tuple(s) for s in subsets]
         columns = []
         for key in keys:
-            if key not in self._by_subset:
+            if key not in self._columns:
                 raise KeyError(f"no sketches published for subset {key}")
             columns.append(self.column_for(key))
         # Index-back maps: user id -> position in that subset's column.
@@ -464,16 +534,25 @@ class SketchStore:
         """Sketch groups for several subsets, aligned on common users.
 
         Compatibility shim over :meth:`aligned_columns` for callers that
-        still want materialised :class:`~repro.core.sketch.Sketch`
-        records (the query engine's hot paths no longer do); row ``u`` of
-        every group belongs to the same user.
+        still want :class:`~repro.core.sketch.Sketch` records (the query
+        engine's hot paths do not); row ``u`` of every group belongs to
+        the same user.
         """
         keys = [tuple(s) for s in subsets]
         aligned = self.aligned_columns(keys)
+        trusted = Sketch._trusted
         groups: List[List[Sketch]] = []
-        for key, index in zip(keys, aligned.indices):
-            records = self.sketches_for(key)
-            groups.append([records[i] for i in index.tolist()])
+        for key, index, gathered in zip(keys, aligned.indices, aligned.keys):
+            column = self.column_for(key)
+            groups.append([
+                trusted(uid, key, sketch_key, bits, its)
+                for uid, sketch_key, bits, its in zip(
+                    aligned.user_ids,
+                    gathered.tolist(),
+                    column.num_bits[index].tolist(),
+                    column.iterations[index].tolist(),
+                )
+            ])
         return groups
 
 
@@ -532,21 +611,16 @@ def _sketch_span(
             user_ids, rows, subset, coins, indices, run_index
         )
         # Narrow to the columnar format's iteration dtype (uint16 unless
-        # a count overflows — same rule as SketchStore.column_for), so a
-        # store published through this path serializes byte-identically
-        # to one round-tripped through JSONL and re-materialised.
-        it_dtype = (
-            np.uint16
-            if iterations.size == 0 or int(iterations.max()) < 1 << 16
-            else np.uint32
-        )
+        # a count overflows — the rule every append applies), so a store
+        # published through this path serializes byte-identically to one
+        # round-tripped through JSONL.
         store.publish_column(
             subset,
             SketchColumn(
                 user_ids=user_ids,
                 keys=keys,
                 num_bits=num_bits,
-                iterations=iterations.astype(it_dtype),
+                iterations=_narrowed(iterations),
             ),
         )
 

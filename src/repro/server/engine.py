@@ -122,8 +122,7 @@ def _content_hash_from_columns(columns: dict, prf) -> str:
 
     Split out so the cache constructor can snapshot ``store.to_columns()``
     once and share it between the content hash, the meta columns index,
-    and seed-directory discovery (for a dict-backed store each
-    ``column_for`` call rebuilds the arrays from per-Sketch records).
+    and seed-directory discovery.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(b"repro-eval-cache-v2|")
@@ -328,9 +327,8 @@ class SketchEvaluationCache:
                     "in-process, so its evaluations cannot be shared across "
                     "processes or restarts"
                 )
-            # One column materialisation pass shared by the content hash,
-            # the meta columns index, and seed discovery (column_for on a
-            # dict-backed store rebuilds arrays per call).
+            # One column snapshot shared by the content hash, the meta
+            # columns index, and seed discovery.
             columns = store.to_columns()
             store_hash = _content_hash_from_columns(columns, self.estimator.prf)
             root = os.fspath(cache_dir)

@@ -49,7 +49,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.estimator import QueryEstimate, SketchEstimator
 from ..core.sketch import Sketch
-from .collector import SketchStore
+from .collector import SketchStore, _narrowed
 
 __all__ = ["StreamingEstimator", "merge_stores"]
 
@@ -277,6 +277,10 @@ def merge_stores(*stores: SketchStore) -> SketchStore:
     merged = SketchStore()
     for store in stores:
         for subset in store.subsets:
-            for sketch in store.sketches_for(subset):
-                merged.publish(sketch)
+            # Narrowed as every append is, so a merged subset's iteration
+            # dtype does not depend on how many shards published it.
+            column = store.column_for(subset)
+            merged.publish_column(
+                subset, column._replace(iterations=_narrowed(column.iterations))
+            )
     return merged

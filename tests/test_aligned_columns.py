@@ -163,14 +163,30 @@ class TestAlignedColumns:
         with pytest.raises(ValueError, match="no user published"):
             store.aligned_columns([(0,), (1,)])
 
-    def test_lazy_columns_stay_lazy(self):
-        """The array-level intersection must not materialise Sketch records."""
+    def test_columnar_paths_build_no_sketch_records(self, monkeypatch):
+        """Load, align, read and append a store without one Sketch record."""
         params, prf, sketcher = make_stack()
         store = published_store(integer_panel(30, 2), sketcher, seed=12)
-        lazy_store = store_variants(store, params)["columnar"]
-        assert lazy_store._lazy  # loaded lazily
-        lazy_store.aligned_columns([(0,), (1,), (0, 1)])
-        assert set(lazy_store._lazy) == set(SUBSETS)  # still lazy, all of them
+        payload = dumps_store(store, include_iterations=True, format="columnar")
+        late = integer_panel(20, 5)
+        late = ProfileDatabase(
+            late.schema,
+            [Profile(f"late-{i:04d}", p.bits) for i, p in enumerate(late)],
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Sketch record was built")
+
+        monkeypatch.setattr(Sketch, "_trusted", refuse)
+        monkeypatch.setattr(Sketch, "__init__", refuse)
+        loaded = loads_store(payload)[0]
+        aligned = loaded.aligned_columns([(0,), (1,), (0, 1)])
+        assert len(aligned.user_ids) == 30
+        before = loaded.column_for((0, 1))
+        publish_database(late, sketcher, SUBSETS, store=loaded, workers=1, seed=13)
+        columns = loaded.to_columns()
+        assert len(before.user_ids) == 30
+        assert all(len(column.user_ids) == 50 for column in columns.values())
 
 
 class TestMultiSubsetParity:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import (
     BiasedPRF,
+    CounterPRF,
     PrivacyParams,
     Sketch,
     SketchEstimator,
@@ -326,6 +327,136 @@ class TestPublishColumn:
         )
         assert added == 0
         assert not store.has_subset((0,))
+
+
+def renamed(database, prefix: str) -> ProfileDatabase:
+    return ProfileDatabase(
+        database.schema,
+        [Profile(f"{prefix}{i}", p.bits) for i, p in enumerate(database)],
+    )
+
+
+def chunks(prf=None):
+    """Two user-disjoint 5-bit panels and the stack that sketches them."""
+    params = PrivacyParams(p=0.3)
+    prf = prf or BiasedPRF(p=0.3, global_key=GLOBAL_KEY)
+    sketcher = Sketcher(params, prf, sketch_bits=8, rng=np.random.default_rng(0))
+    first = renamed(bernoulli_panel(90, 4, rng=np.random.default_rng(1)), "a")
+    second = renamed(bernoulli_panel(40, 4, rng=np.random.default_rng(2)), "b")
+    return params, prf, sketcher, first, second
+
+
+def one_shot(first_store, second_store):
+    """The store holding both chunks, built by a single from_columns."""
+    columns = {}
+    for subset in first_store.subsets:
+        a, b = first_store.column_for(subset), second_store.column_for(subset)
+        columns[subset] = SketchColumn(
+            a.user_ids + b.user_ids,
+            np.concatenate([a.keys, b.keys]),
+            np.concatenate([a.num_bits, b.num_bits]),
+            np.concatenate([a.iterations, b.iterations]),
+        )
+    return SketchStore.from_columns(columns)
+
+
+def columnar_bytes(store) -> bytes:
+    return dumps_store(store, include_iterations=True, format="columnar")
+
+
+class TestAppendThenQuery:
+    """Appends into a loaded columnar store, then queries of the result."""
+
+    @pytest.mark.parametrize("backend", ["blake2b", "counter"])
+    def test_marginals_see_appended_users(self, backend):
+        prf = CounterPRF(p=0.3, global_key=GLOBAL_KEY) if backend == "counter" else None
+        params, prf, sketcher, first, second = chunks(prf)
+        base = publish_database(first, sketcher, SUBSETS, workers=1, seed=5)
+        loaded, _ = loads_store(columnar_bytes(base))
+        estimator = SketchEstimator(params, prf)
+        engine = QueryEngine(first.schema, loaded, estimator)
+        before = {subset: engine.marginal(subset) for subset in SUBSETS}
+
+        publish_database(second, sketcher, SUBSETS, store=loaded, workers=1, seed=6)
+        tail = publish_database(second, sketcher, SUBSETS, workers=1, seed=6)
+        reference = QueryEngine(first.schema, one_shot(base, tail), estimator)
+        for subset in SUBSETS:
+            assert loaded.num_users(subset) == 130
+            grown = engine.marginal(subset)
+            assert np.array_equal(grown, reference.marginal(subset))
+            assert not np.array_equal(grown, before[subset])
+        assert columnar_bytes(loaded) == columnar_bytes(one_shot(base, tail))
+
+    def test_earlier_column_views_survive_appends(self):
+        params, prf, sketcher, first, second = chunks()
+        loaded, _ = loads_store(
+            columnar_bytes(publish_database(first, sketcher, SUBSETS, workers=1, seed=5))
+        )
+        views = [loaded.column_for(SUBSETS[0])]
+        snapshots = [
+            (list(views[0].user_ids), views[0].keys.copy(), views[0].iterations.copy())
+        ]
+        # Several appends: the first copies the parked arrays, later ones
+        # land in spare capacity or regrow it.
+        for index, chunk in enumerate([second, renamed(second, "c"), renamed(second, "d")]):
+            publish_database(chunk, sketcher, SUBSETS, store=loaded, workers=1, seed=index)
+            views.append(loaded.column_for(SUBSETS[0]))
+            snapshots.append(
+                (list(views[-1].user_ids), views[-1].keys.copy(), views[-1].iterations.copy())
+            )
+        loaded.publish(Sketch("late", SUBSETS[0], key=3, num_bits=8, iterations=1))
+        for view, (ids, keys, iterations) in zip(views, snapshots):
+            assert view.user_ids == ids
+            assert len(view.keys) == len(view.num_bits) == len(view.iterations) == len(ids)
+            assert np.array_equal(view.keys, keys)
+            assert np.array_equal(view.iterations, iterations)
+        assert [len(view.user_ids) for view in views] == [90, 130, 170, 210]
+        assert loaded.num_users(SUBSETS[0]) == 211
+
+    def test_duplicate_user_in_chunk_leaves_every_column_unchanged(self):
+        params, prf, sketcher, first, second = chunks()
+        loaded, _ = loads_store(
+            columnar_bytes(publish_database(first, sketcher, SUBSETS, workers=1, seed=5))
+        )
+        publish_database(second, sketcher, SUBSETS, store=loaded, workers=1, seed=6)
+        before = columnar_bytes(loaded)
+        rows = [profile.bits for profile in second]
+        clash = ProfileDatabase(
+            first.schema, [Profile("fresh", rows[0]), Profile("b3", rows[1])]
+        )
+        with pytest.raises(ValueError, match="already published"):
+            publish_database(clash, sketcher, SUBSETS, store=loaded, workers=1, seed=7)
+        with pytest.raises(ValueError, match="already published"):
+            loaded.publish(Sketch("a7", SUBSETS[1], key=1, num_bits=8, iterations=1))
+        assert columnar_bytes(loaded) == before
+        assert all(loaded.num_users(subset) == 130 for subset in SUBSETS)
+
+    def test_loaded_uint32_iterations_are_narrowed_on_append(self, tmp_path):
+        params, prf, sketcher, first, second = chunks()
+        base = publish_database(first, sketcher, SUBSETS, workers=1, seed=5)
+        wide = SketchStore.from_columns({
+            subset: column._replace(iterations=column.iterations.astype(np.uint32))
+            for subset, column in base.to_columns().items()
+        })
+        loaded, _ = loads_store(columnar_bytes(wide))
+        assert loaded.column_for(SUBSETS[0]).iterations.dtype == np.uint32
+        publish_database(second, sketcher, SUBSETS, store=loaded, workers=1, seed=6)
+        tail = publish_database(second, sketcher, SUBSETS, workers=1, seed=6)
+        reference = one_shot(base, tail)
+        assert loaded.column_for(SUBSETS[0]).iterations.dtype == np.uint16
+        for name, store in [("appended.npz", loaded), ("one_shot.npz", reference)]:
+            save_store(store, tmp_path / name, params, include_iterations=True, format="columnar")
+        appended = (tmp_path / "appended.npz").read_bytes()
+        assert appended == (tmp_path / "one_shot.npz").read_bytes()
+
+    def test_iteration_counts_past_uint16_widen_the_column(self):
+        store = SketchStore()
+        store.publish(Sketch("a", (0,), key=1, num_bits=4, iterations=3))
+        assert store.column_for((0,)).iterations.dtype == np.uint16
+        store.publish(Sketch("b", (0,), key=2, num_bits=4, iterations=70000))
+        column = store.column_for((0,))
+        assert column.iterations.dtype == np.uint32
+        assert column.iterations.tolist() == [3, 70000]
 
 
 class TestColumnarDatabaseFormat:

@@ -21,6 +21,7 @@ from repro.core import (
     encode_input,
     prf_from_spec,
 )
+from repro.core.prf import validate_value_bits
 from repro.core.philox import (
     philox4x64,
     philox4x64_rows,
@@ -341,6 +342,63 @@ class TestEncodingInjectivityRegression:
             prf.evaluate_keys("u", (0, 1), (2, 0), [1, 2])
         with pytest.raises(ValueError, match="must be 0 or 1"):
             prf.evaluate_block(["u"], (0, 1), [(1, 1), (0, 2)], [3])
+
+    @pytest.mark.parametrize("backend", [BiasedPRF, CounterPRF])
+    @pytest.mark.parametrize(
+        "bad_value", [(1.5, 0.9), (1.7, 0.2), (0.5, 1), ("1", 0), (1, "0")]
+    )
+    def test_every_entry_point_rejects_non_integral_bits(self, backend, bad_value):
+        # These used to truncate: (1.7, 0.2) evaluated as the point (1, 0).
+        prf = backend(p=0.3, global_key=GLOBAL_KEY)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            validate_value_bits(bad_value)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            prf.evaluate("u", (0, 1), bad_value, 3)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            prf.evaluate_keys("u", (0, 1), bad_value, [1, 2])
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            prf.evaluate_block(["u", "v"], (0, 1), [(1, 0), bad_value], [3, 4])
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            prf.evaluate_grid(
+                ["u", "v"], (0, 1), [(1, 0), bad_value], np.ones((2, 3), dtype=np.uint64)
+            )
+
+    @pytest.mark.parametrize("backend", [BiasedPRF, CounterPRF])
+    def test_grid_rejects_bad_bits_in_value_arrays(self, backend):
+        prf = backend(p=0.3, global_key=GLOBAL_KEY)
+        rows = np.ones((2, 3), dtype=np.uint64)
+        for bad in (np.array([[1, 0], [2, 1]]), np.array([[1.0, 0.0], [1.0, 0.5]])):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                prf.evaluate_grid(["u", "v"], (0, 1), bad, rows)
+        with pytest.raises(ValueError, match="equal length"):
+            prf.evaluate_grid(["u", "v"], (0, 1), np.zeros((2, 3), dtype=np.int8), rows)
+
+    @pytest.mark.parametrize("backend", [BiasedPRF, CounterPRF])
+    def test_bits_equal_to_0_or_1_are_accepted(self, backend):
+        prf = backend(p=0.3, global_key=GLOBAL_KEY)
+        keys = list(range(40))
+        expected = prf.evaluate_keys("u", (0, 1), (1, 0), keys)
+        for same in [(True, False), (np.uint8(1), np.int64(0)), (1.0, 0.0)]:
+            assert prf.evaluate("u", (0, 1), same, 5) == expected[5]
+            assert prf.evaluate_keys("u", (0, 1), same, keys).tolist() == expected.tolist()
+            block = prf.evaluate_block(["u"], (0, 1), [same], [5])
+            assert int(block[0, 0]) == expected[5]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.float64, bool])
+    def test_counter_grid_packs_value_arrays_like_tuples(self, dtype):
+        # The vectorised MSB-first packer must match the per-value path.
+        prf = make_counter()
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 2, size=(40, 3))
+        rows = rng.integers(0, 256, size=(40, 6)).astype(np.uint64)
+        users = [f"u{i}" for i in range(40)]
+        as_tuples = prf.evaluate_grid(users, SUBSET, [tuple(v) for v in values], rows)
+        as_array = prf.evaluate_grid(users, SUBSET, values.astype(dtype), rows)
+        assert np.array_equal(as_array, as_tuples)
+        for u in range(0, 40, 7):
+            assert as_array[u, 2] == prf.evaluate(
+                users[u], SUBSET, tuple(int(b) for b in values[u]), int(rows[u, 2])
+            )
 
     def test_oracle_block_path_rejects_non_binary_bits(self):
         oracle = TrueRandomOracle(p=0.3)
