@@ -53,7 +53,7 @@ from repro.protocol import (
     FractionRequest,
     MarginalRequest,
 )
-from repro.protocol.messages import _jsonable
+from repro.protocol.messages import encode_result
 from repro.server import QueryEngine, ShardedService, publish_database
 
 from _harness import make_stack, write_table
@@ -91,7 +91,7 @@ BASE_TRACE = [
 
 
 def _normalise(result) -> object:
-    return json.loads(json.dumps(_jsonable(result)))
+    return json.loads(json.dumps(encode_result(result)))
 
 
 def run(

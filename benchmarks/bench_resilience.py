@@ -47,7 +47,7 @@ from repro.protocol import (
     FractionRequest,
     MarginalRequest,
 )
-from repro.protocol.messages import _jsonable
+from repro.protocol.messages import encode_result
 from repro.server import (
     QueryEngine,
     RemoteQueryEngine,
@@ -95,8 +95,11 @@ def drive(host, port, token, trace, concurrency, client_kwargs) -> dict:
                 for position in range(index, len(trace), concurrency):
                     _, request = trace[position]
                     response = client.execute(request)
+                    # Decoded to native types by the client; compared in
+                    # wire form, like the expected answers.
+                    reply = json.loads(json.dumps(encode_result(response.result)))
                     with lock:
-                        replies[position] = response.result
+                        replies[position] = reply
         except Exception as exc:  # noqa: BLE001 - benchmark: count, then assert 0
             with lock:
                 errors.append(f"worker {index}: {type(exc).__name__}: {exc}")
@@ -125,7 +128,7 @@ def assert_parity(engine: QueryEngine, trace, result: dict, label: str) -> None:
     assert len(result["replies"]) == len(trace), f"{label}: lost replies"
     for position, reply in result["replies"].items():
         expected = json.loads(
-            json.dumps(_jsonable(engine.execute(trace[position][1]).result))
+            json.dumps(encode_result(engine.execute(trace[position][1]).result))
         )
         assert reply == expected, (
             f"{label}: request {position} ({trace[position][0]}) deviates"
@@ -183,7 +186,7 @@ def measure_recovery(num_users: int) -> dict:
         FractionRequest.build((1, 2, 3), (1, 0, 1)),
     ]
     expected = [
-        json.loads(json.dumps(_jsonable(engine.execute(request).result)))
+        json.loads(json.dumps(encode_result(engine.execute(request).result)))
         for request in cycle
     ]
 
@@ -204,7 +207,7 @@ def measure_recovery(num_users: int) -> dict:
                 for request, want in zip(cycle, expected):
                     try:
                         got = json.loads(
-                            json.dumps(_jsonable(coordinator.execute(request).result))
+                            json.dumps(encode_result(coordinator.execute(request).result))
                         )
                     except Exception:  # noqa: BLE001 - typed refusals while healing
                         return False

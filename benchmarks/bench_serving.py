@@ -44,7 +44,7 @@ from repro.protocol import (
     FractionRequest,
     MarginalRequest,
 )
-from repro.protocol.messages import _jsonable
+from repro.protocol.messages import encode_result
 from repro.server import (
     QueryEngine,
     RemoteQueryEngine,
@@ -92,8 +92,11 @@ def drive(host: str, port: int, token: str, trace, concurrency: int) -> dict:
                     start = time.perf_counter()
                     response = client.execute(request)
                     latencies[index].append(time.perf_counter() - start)
+                    # Decoded to native types by the client; compared in
+                    # wire form, like the expected answers.
+                    reply = json.loads(json.dumps(encode_result(response.result)))
                     with lock:
-                        replies[position] = response.result
+                        replies[position] = reply
         except Exception as exc:  # noqa: BLE001 - benchmark: count, then assert 0
             with lock:
                 errors.append(f"worker {index}: {type(exc).__name__}: {exc}")
@@ -142,7 +145,7 @@ def run(num_users: int = 20_000, repeats: int = 5) -> dict:
     expected = {}
     for position, (_, request) in enumerate(trace):
         expected[position] = json.loads(
-            json.dumps(_jsonable(engine.execute(request).result))
+            json.dumps(encode_result(engine.execute(request).result))
         )
     for level in levels:
         assert not level["errors"], f"serving errors: {level['errors'][:3]}"

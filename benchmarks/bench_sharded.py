@@ -44,7 +44,7 @@ from repro.protocol import (
     FractionRequest,
     MarginalRequest,
 )
-from repro.protocol.messages import _jsonable
+from repro.protocol.messages import encode_result
 from repro.server import QueryEngine, ShardedService, publish_database
 
 from _harness import make_stack, write_table
@@ -130,13 +130,13 @@ def run(num_users: int = 20_000, repeats: int = 5) -> dict:
     expected = {}
     for position, (_, request) in enumerate(trace):
         expected[position] = json.loads(
-            json.dumps(_jsonable(engine.execute(request).result))
+            json.dumps(encode_result(engine.execute(request).result))
         )
     for level in levels:
         assert not level["errors"], f"sharded serving errors: {level['errors'][:3]}"
         assert len(level["replies"]) == len(trace), "lost replies"
         for position, reply in level["replies"].items():
-            normalised = json.loads(json.dumps(_jsonable(reply)))
+            normalised = json.loads(json.dumps(encode_result(reply)))
             assert normalised == expected[position], (
                 f"{level['shards']} shard(s), request {position} "
                 f"({trace[position][0]}): coordinator deviates from single store"

@@ -713,6 +713,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         MarginalRequest,
         PingRequest,
         StatusRequest,
+        encode_result,
     )
     from .server import DeadlineExceeded, RemoteQueryEngine
 
@@ -784,7 +785,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except Exception as exc:  # mapped server errors: budget, auth, rate, query
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(response.result))
+    print(json.dumps(encode_result(response.result)))
     return 0
 
 

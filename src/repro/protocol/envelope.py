@@ -1,23 +1,21 @@
 """Wire envelopes: the framing every protocol message shares.
 
 Every message this library puts on a wire — typed query requests and
-responses, the structured error envelope, the auth handshake, and the
-legacy block request/response of :mod:`repro.server.serialization` — is
+responses, the structured error envelope and the auth handshake — is
 one JSON object carrying a ``format`` tag (which message this is) and a
 ``version`` (which revision of that message the sender speaks).  The two
 helpers here are the single implementation of that contract:
 
 * :func:`dumps_wire_message` prepends the tag and version to a body dict
   and serialises it (key order is preserved, so a fixed body-key order
-  yields byte-stable output — the legacy block request relies on this);
+  yields byte-stable output);
 * :func:`loads_wire_message` parses a payload and rejects non-JSON
   input, foreign tags, and unsupported versions with a
   :class:`~repro.protocol.messages.ProtocolError` whose ``code`` slots
   straight into the structured error envelope.
 
 Versioning is per-tag: bumping the query-request version does not
-invalidate stored sketch archives or the legacy block messages, each of
-which carries its own version.
+invalidate stored sketch archives, which carry their own version.
 """
 
 from __future__ import annotations
@@ -26,17 +24,15 @@ import json
 
 __all__ = ["PROTOCOL_VERSION", "ProtocolError", "dumps_wire_message", "loads_wire_message"]
 
-#: Version of the typed query request/response/error messages.  The
-#: legacy block request/response keep their own historical version (1).
+#: Version of the typed query request/response/error messages.
 PROTOCOL_VERSION = 1
 
 
 class ProtocolError(ValueError):
     """A message that violates the wire protocol, with a structured code.
 
-    Subclasses :class:`ValueError` so pre-protocol callers (and tests)
-    that caught ``ValueError`` from the legacy wire helpers keep working;
-    the ``code`` attribute is what the server puts in the error envelope
+    Subclasses :class:`ValueError` so callers that catch ``ValueError``
+    for a malformed message keep working; the ``code`` attribute is what the server puts in the error envelope
     instead of a traceback.
     """
 

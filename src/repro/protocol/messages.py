@@ -3,10 +3,9 @@
 Before this module existed the same logical query reached the engine
 through three unrelated shapes — direct :class:`QueryEngine` method
 calls, :class:`~repro.queries.conjunctive.LinearPlan` evaluation, and
-the ad-hoc block-request strings of :mod:`repro.server.serialization` —
-so every new transport or message kind multiplied that surface.  Now
-there is exactly one: a **versioned, JSON-serialisable request
-dataclass** per query family, all sharing the
+the ad-hoc block-request strings — so every new transport or message
+kind multiplied that surface.  Now there is exactly one: a **versioned,
+JSON-serialisable request dataclass** per query family, all sharing the
 :mod:`~repro.protocol.envelope` framing, all dispatched through
 :meth:`QueryEngine.execute`, whether the caller is in-process or on the
 other end of a socket.
@@ -85,6 +84,8 @@ __all__ = [
     "error_from_exception",
     "exception_from_error",
     "estimate_to_payload",
+    "decode_result",
+    "encode_result",
     "estimate_from_payload",
     "dumps_hello",
     "loads_hello",
@@ -164,7 +165,7 @@ class QueryRequest:
         """The JSON body: ``kind`` plus this request's fields, in order."""
         payload: Dict[str, Any] = {"kind": self.kind}
         for field in fields(self):
-            payload[field.name] = _jsonable(getattr(self, field.name))
+            payload[field.name] = encode_result(getattr(self, field.name))
         return payload
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
@@ -936,7 +937,7 @@ class QueryResponse:
 
     In-process, ``result`` is whatever the engine handler produced
     (floats, lists, NumPy arrays, :class:`QueryEstimate` objects); on
-    the wire it is serialised via :func:`_jsonable` (arrays become
+    the wire it is serialised via :func:`encode_result` (arrays become
     nested lists, estimates become field dicts) and the client rebuilds
     the native shape per kind.
     """
@@ -963,9 +964,11 @@ class RemoteQueryError(RuntimeError):
         self.code = code
 
 
-def _jsonable(value: Any) -> Any:
+def encode_result(value: Any) -> Any:
     """Lower a handler result to JSON-native types, losslessly for floats
-    (Python's ``repr`` round-trip) and exactly for ints and 0/1 bits."""
+    (Python's ``repr`` round-trip) and exactly for ints and 0/1 bits.
+
+    The inverse is :func:`decode_result`."""
     if isinstance(value, QueryEstimate):
         return estimate_to_payload(value)
     if isinstance(value, np.ndarray):
@@ -975,9 +978,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
+        return [encode_result(item) for item in value]
     if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
+        return {key: encode_result(item) for key, item in value.items()}
     return value
 
 
@@ -1009,6 +1012,33 @@ def estimate_from_payload(payload: dict) -> QueryEstimate:
         raise ProtocolError(
             "malformed_request", f"malformed estimate payload: {exc}"
         ) from exc
+
+
+#: Analyst kind -> rebuild of the native result a local engine returns.
+#: Kinds not listed (``ping``, ``status``, ``shard_partial``, the admin
+#: kinds) are plain JSON objects either way and stay raw.
+_RESULT_DECODERS = {
+    CountsBlockRequest.kind: lambda result: [float(count) for count in result],
+    EstimateManyRequest.kind: lambda result: [estimate_from_payload(p) for p in result],
+    MarginalRequest.kind: lambda result: np.asarray(result, dtype=np.float64),
+    FractionRequest.kind: float,
+    AnyOfRequest.kind: float,
+    ExactlyLRequest.kind: float,
+    BitMatrixRequest.kind: lambda result: np.asarray(result, dtype=np.int8),
+    EvaluatePlanRequest.kind: float,
+}
+
+
+def decode_result(kind: str, result: Any) -> Any:
+    """Rebuild the native result of a ``kind`` reply from its JSON form.
+
+    The inverse of :func:`encode_result`: a remote caller gets the same
+    types (and array dtypes) an in-process ``execute`` returns —
+    :class:`QueryEstimate` records, float64 marginals, the int8
+    ``bit_matrix``.
+    """
+    decoder = _RESULT_DECODERS.get(kind)
+    return result if decoder is None else decoder(result)
 
 
 # ----------------------------------------------------------------------
@@ -1080,7 +1110,7 @@ def dumps_response(response: QueryResponse) -> str:
     return dumps_wire_message(
         RESPONSE_TAG,
         PROTOCOL_VERSION,
-        {"kind": response.kind, "result": _jsonable(response.result)},
+        {"kind": response.kind, "result": encode_result(response.result)},
     )
 
 

@@ -19,12 +19,47 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.estimator import SketchEstimator
+from ..core.estimator import QueryEstimate, SketchEstimator
 from ..core.sketch import Sketch
 from ..data.encoding import encode_value
 from ..data.schema import Schema
 
-__all__ = ["categorical_histogram", "estimate_mode", "top_k_categories", "simplex_project"]
+__all__ = [
+    "categorical_histogram",
+    "category_values",
+    "estimate_mode",
+    "histogram_from_estimates",
+    "mode_of",
+    "simplex_project",
+    "top_k_categories",
+    "top_k_of",
+]
+
+
+def category_values(schema: Schema, name: str) -> List[Tuple[int, ...]]:
+    """Every category of one attribute, encoded as the attribute's bits.
+
+    The candidate list of a histogram; refuses attributes with more than
+    4096 categories (query point values instead).
+    """
+    num_values = schema.spec(name).max_value + 1
+    if num_values > 4096:
+        raise ValueError(
+            f"attribute {name!r} has {num_values} values; enumerating a histogram "
+            "over more than 4096 categories is not sensible — query point values"
+        )
+    return [encode_value(schema, name, value) for value in range(num_values)]
+
+
+def histogram_from_estimates(
+    estimates: Sequence[QueryEstimate], normalize: bool = True
+) -> np.ndarray:
+    """Per-category frequencies from one Algorithm 2 estimate per category,
+    optionally projected onto the probability simplex."""
+    frequencies = np.asarray([estimate.fraction for estimate in estimates])
+    if normalize:
+        frequencies = simplex_project(frequencies)
+    return frequencies
 
 
 def categorical_histogram(
@@ -50,19 +85,10 @@ def categorical_histogram(
         the projection trades that for a valid distribution and typically
         reduces total variation error.
     """
-    spec = schema.spec(name)
-    num_values = spec.max_value + 1
-    if num_values > 4096:
-        raise ValueError(
-            f"attribute {name!r} has {num_values} values; enumerating a histogram "
-            "over more than 4096 categories is not sensible — query point values"
-        )
-    candidates = [encode_value(schema, name, value) for value in range(num_values)]
-    estimates = estimator.estimate_many(sketches, candidates)
-    frequencies = np.asarray([estimate.fraction for estimate in estimates])
-    if normalize:
-        frequencies = simplex_project(frequencies)
-    return frequencies
+    candidates = category_values(schema, name)
+    return histogram_from_estimates(
+        estimator.estimate_many(sketches, candidates), normalize=normalize
+    )
 
 
 def simplex_project(vector: np.ndarray) -> np.ndarray:
@@ -83,6 +109,20 @@ def simplex_project(vector: np.ndarray) -> np.ndarray:
     return np.maximum(values - threshold, 0.0)
 
 
+def mode_of(histogram: np.ndarray) -> Tuple[int, float]:
+    """Most frequent category of a histogram and its frequency."""
+    mode = int(np.argmax(histogram))
+    return mode, float(histogram[mode])
+
+
+def top_k_of(histogram: np.ndarray, k: int) -> List[Tuple[int, float]]:
+    """The ``k`` most frequent categories of a histogram."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    order = np.argsort(histogram)[::-1][:k]
+    return [(int(value), float(histogram[value])) for value in order]
+
+
 def estimate_mode(
     estimator: SketchEstimator,
     sketches: Sequence[Sketch],
@@ -90,9 +130,7 @@ def estimate_mode(
     name: str,
 ) -> Tuple[int, float]:
     """Most frequent category and its estimated frequency."""
-    histogram = categorical_histogram(estimator, sketches, schema, name)
-    mode = int(np.argmax(histogram))
-    return mode, float(histogram[mode])
+    return mode_of(categorical_histogram(estimator, sketches, schema, name))
 
 
 def top_k_categories(
@@ -108,8 +146,4 @@ def top_k_categories(
     independent of the attribute's bit width, ranking quality depends only
     on the user count and the frequency gaps.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    histogram = categorical_histogram(estimator, sketches, schema, name)
-    order = np.argsort(histogram)[::-1][:k]
-    return [(int(value), float(histogram[value])) for value in order]
+    return top_k_of(categorical_histogram(estimator, sketches, schema, name), k)

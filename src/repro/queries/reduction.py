@@ -14,15 +14,16 @@ sufficient statistics over an ordered user population:
 All three are *integers* (or integer matrices), so partials from
 disjoint user ranges recombine exactly: integer addition for sums and
 histograms, row concatenation in shard order for matrices.  The
-coordinator then re-runs the single-store float arithmetic **once** on
-the merged integers (``repro.core.estimator.SketchEstimator.
+query core then runs the float arithmetic **once** on the merged
+integers (``repro.core.estimator.SketchEstimator.
 estimate_from_counts``, ``repro.core.combine.combine_from_weight_counts``)
 — which is what makes sharded answers bit-identical to single-store
 answers rather than merely close.
 
-The helpers here merge the plain-dict partial payloads shard workers
-return for ``shard_partial`` protocol requests (see
-``repro.server.sharded``).  A shard that holds no publisher of a
+The helpers here merge the plain-dict partial payloads that
+``repro.server.query_core.QueryCore`` gathers — from the one in-process
+store of a ``QueryEngine``, or from every shard worker of a
+``ShardCoordinator`` (``shard_partial`` protocol requests).  A shard that holds no publisher of a
 requested subset (or no aligned user) contributes ``num_users = 0`` and
 empty/zero statistics — globally-missing subsets are the coordinator's
 call, made against the full catalog before any fan-out.
@@ -101,8 +102,8 @@ def merge_matrix_partials(
     """
     pieces = []
     for partial in partials:
-        rows = partial["rows"]
-        if not rows:
+        rows = partial["rows"]  # an int8 array in process, lists off the wire
+        if len(rows) == 0:
             continue
         piece = np.asarray(rows, dtype=np.int8)
         if piece.ndim != 2 or piece.shape[1] != k:

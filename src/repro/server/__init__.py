@@ -27,13 +27,8 @@ from .resilience import (
     deadline_scope,
 )
 from .serialization import (
-    dumps_block_request,
-    dumps_block_response,
     dumps_store,
-    handle_block_request,
     load_store,
-    loads_block_request,
-    loads_block_response,
     loads_store,
     save_store,
 )
@@ -78,13 +73,8 @@ __all__ = [
     "attribute_subsets",
     "current_deadline",
     "deadline_scope",
-    "dumps_block_request",
-    "dumps_block_response",
     "dumps_store",
-    "handle_block_request",
     "load_store",
-    "loads_block_request",
-    "loads_block_response",
     "loads_store",
     "merge_stores",
     "per_bit_subsets",

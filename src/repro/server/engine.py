@@ -14,11 +14,12 @@
 Every query family funnels through **one dispatch surface**:
 :meth:`QueryEngine.execute` takes a typed
 :class:`~repro.protocol.messages.QueryRequest` and returns a
-:class:`~repro.protocol.messages.QueryResponse`.  The public methods are
-thin wrappers that build the request and unwrap the response, so local
-calls, tests, and remote calls (:mod:`repro.server.remote`) run the
-identical code path — and all of them hit the aligned-columns/cache-fed
-fast paths.
+:class:`~repro.protocol.messages.QueryResponse`.  The family handlers
+live once, in :class:`~repro.server.query_core.QueryCore`; this engine
+is the core with one in-process shard — it answers the core's integer
+partial requests (:meth:`QueryEngine.partial`) from the cached
+evaluation columns of its own store, exactly as a shard worker does for
+the sharded coordinator.
 
 The engine never touches raw profiles — everything flows from published
 sketches through the public PRF.
@@ -44,45 +45,32 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.combine import combine_aligned_bits
 from ..core.estimator import QueryEstimate, SketchEstimator
 from ..core.prf import validate_value_bits
 from ..data.schema import Schema
-from ..queries.ast import Conjunction
-from ..queries.boolean import DecisionNode, decision_tree_plan, exactly_l_fraction
-from ..queries.categorical import categorical_histogram, estimate_mode, top_k_categories
+from ..protocol.messages import ShardPartialRequest
+from ..queries.boolean import DecisionNode, decision_tree_plan
+from ..queries.categorical import (
+    category_values,
+    histogram_from_estimates,
+    mode_of,
+    top_k_of,
+)
 from ..queries.combined import (
     equal_and_less_plan,
     sum_where_less_equal_plan,
     sum_where_less_plan,
 )
-from ..data.encoding import int_to_bits
-from ..protocol.envelope import ProtocolError
-from ..protocol.messages import (
-    AnyOfRequest,
-    BitMatrixRequest,
-    CountsBlockRequest,
-    EstimateManyRequest,
-    EvaluatePlanRequest,
-    ExactlyLRequest,
-    FractionRequest,
-    MarginalRequest,
-    PingRequest,
-    QueryRequest,
-    QueryResponse,
-)
-from ..queries.conjunctive import LinearPlan, evaluate_plan
-from ..queries.disjunction import disjunction_fraction_from_bits
 from ..queries.interval import less_equal_plan, less_than_plan, range_plan
 from ..queries.numeric import inner_product_plan, moment_plan, sum_plan
 from ..queries.virtual import addition_interval_fraction
 from .collector import AlignedColumns, SketchColumn, SketchStore
+from .query_core import MEMO_ENTRIES, MissingSketchError, QueryCore
 
 __all__ = [
     "MissingSketchError",
     "SketchEvaluationCache",
     "QueryEngine",
-    "search_exact_cover",
     "store_content_hash",
 ]
 
@@ -976,48 +964,13 @@ class SketchEvaluationCache:
         return len(self._bits), sum(bits.size for bits in self._bits.values())
 
 
-class MissingSketchError(KeyError):
-    """Raised when a query needs a subset that nobody published.
 
-    The message lists both the missing subset and what *is* available, so
-    the fix (extend the publishing policy) is immediate.
-    """
-
-
-def search_exact_cover(
-    target: Subset, subsets: Sequence[Subset]
-) -> Optional[List[Subset]]:
-    """Exact-cover search: express ``target`` as a disjoint union of
-    ``subsets``.  Candidate lists are tiny (a publishing policy rarely
-    has more than a few hundred subsets), so a simple backtracking
-    search is plenty.
-
-    Module-level because the single-store engine and the shard
-    coordinator must pick the *same* partition for the same catalog —
-    identical candidate order (``subsets`` insertion order, stably
-    sorted by length descending) is part of what makes distributed
-    Appendix F reductions bit-identical.
-    """
-    remaining = frozenset(target)
-    candidates = [s for s in subsets if set(s) <= remaining and s]
-    candidates.sort(key=len, reverse=True)
-
-    def search(uncovered: frozenset, start: int) -> Optional[List[Subset]]:
-        if not uncovered:
-            return []
-        for index in range(start, len(candidates)):
-            candidate = candidates[index]
-            if set(candidate) <= uncovered:
-                rest = search(uncovered - set(candidate), index + 1)
-                if rest is not None:
-                    return [candidate] + rest
-        return None
-
-    return search(remaining, 0)
-
-
-class QueryEngine:
+class QueryEngine(QueryCore):
     """Analyst-facing query interface over published sketches.
+
+    A :class:`~repro.server.query_core.QueryCore` with one in-process
+    shard: every query family is answered by the core from the integer
+    partials :meth:`partial` computes over this engine's own store.
 
     ``execute`` is thread-safe for **serving** (concurrent calls against
     a fixed store, as :class:`~repro.server.remote.RemoteServer`'s
@@ -1068,6 +1021,7 @@ class QueryEngine:
         memory_budget_bytes: int | None = None,
         generation_ttl_seconds: float | None = None,
     ) -> None:
+        super().__init__()
         self.schema = schema
         self.store = store
         self.estimator = estimator
@@ -1077,200 +1031,119 @@ class QueryEngine:
             memory_budget_bytes=memory_budget_bytes,
             generation_ttl_seconds=generation_ttl_seconds,
         )
-        # Exact-cover partitions are pure functions of (target, published
-        # subsets): memoised until the store's subset list changes (plan
-        # execution re-derives the same partition for every term group).
-        self._partition_cache: dict[Subset, Optional[List[Subset]]] = {}
-        self._partition_snapshot: Tuple[Subset, ...] = store.subsets
         # Aligned intersections are pure functions of (subset tuple,
         # column sizes) — store columns are append-only, so unchanged
         # sizes mean unchanged columns.  Memoising them makes a warm
-        # multi-subset query pure gather + linear solve.
+        # multi-subset query pure gather + histogram.
         self._aligned_cache: dict[
             Tuple[Subset, ...], Tuple[Tuple[int, ...], AlignedColumns]
         ] = {}
-        # Guards the two memo dicts above when `execute` runs on a
-        # serving thread pool.  Both memoise *pure* functions of the
-        # store state, so the pattern is look-up under the lock, compute
-        # outside it, insert under it — racing threads at worst compute
-        # the same value twice, never a different one.
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # The unified dispatch surface
+    # The in-process shard: catalog, gather, and the partial statistics
     # ------------------------------------------------------------------
-    def execute(self, request: QueryRequest) -> QueryResponse:
-        """Answer one typed protocol request — the single dispatch point.
+    def _catalog(self) -> Tuple[Subset, ...]:
+        return self.store.subsets
 
-        Every public query method below is a thin wrapper that builds
-        the matching :class:`~repro.protocol.messages.QueryRequest` and
-        unwraps the response, so an in-process call and a remote call
-        arriving over :mod:`repro.server.remote` execute byte-for-byte
-        the same handler.  Results are native (floats, lists, arrays,
-        :class:`QueryEstimate` objects); the protocol layer lowers them
-        to JSON only when a wire is actually involved.
+    def _sketched(self, subset: Subset) -> bool:
+        return self.store.has_subset(subset)
 
-        Raises
-        ------
-        ProtocolError
-            ``code="unknown_kind"`` for a request kind this engine has
-            no handler for.
-        MissingSketchError, ValueError
-            Exactly as the corresponding public method would.
+    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+        return [self.partial(partial)]
+
+    def partial(self, request: ShardPartialRequest) -> dict:
+        """Integer sufficient statistics of this store's users.
+
+        The answer to a ``shard_partial`` request, computed through the
+        cached evaluation columns.  A store holding no publisher of a
+        requested subset, or no user aligned across all of them, returns
+        a zero partial (``num_users = 0``): whether a subset is missing
+        *globally* is the caller's call against its full catalog.
+        Matrix rows stay an int8 array; the wire lowers them to lists.
         """
-        handler = self._HANDLERS.get(request.kind)
-        if handler is None:
-            raise ProtocolError(
-                "unknown_kind",
-                f"unknown request kind {request.kind!r}; this engine answers "
-                f"{sorted(self._HANDLERS)}",
-            )
-        return QueryResponse(kind=request.kind, result=handler(self, request))
+        if request.op == "bit_sums":
+            subset = request.subsets[0]
+            values = [group[0] for group in request.groups]
+            if not self.store.has_subset(subset):
+                return {"num_users": 0, "sums": [0] * len(values)}
+            columns = self.cache.bits(subset, values)
+            return {
+                "num_users": int(self.store.num_users(subset)),
+                "sums": [int(np.asarray(column).sum()) for column in columns],
+            }
+        k = len(request.subsets)
+        gathered, num_users = self._aligned_gathers(request.subsets, request.groups)
+        if request.op == "weight_counts":
+            if gathered is None:
+                return {"num_users": 0, "counts": [[0] * (k + 1) for _ in request.groups]}
+            counts = []
+            for j in range(len(request.groups)):
+                # combine.weight_histogram's integer half: row sums of
+                # the (users x k) int8 matrix, then bincount.
+                matrix = np.column_stack([gathered[i][j] for i in range(k)])
+                weights = matrix.sum(axis=1).astype(np.int64)
+                counts.append(np.bincount(weights, minlength=k + 1).tolist())
+            return {"num_users": num_users, "counts": counts}
+        if gathered is None:
+            return {"num_users": 0, "rows": []}
+        rows = np.column_stack([gathered[i][0] for i in range(k)])
+        return {"num_users": num_users, "rows": rows}
 
-    # ------------------------------------------------------------------
-    # Conjunctive primitives (wrappers over execute)
-    # ------------------------------------------------------------------
-    def estimate(self, subset: Sequence[int], value: Sequence[int]) -> QueryEstimate:
-        """Full Algorithm 2 estimate (with CI) for a directly-sketched subset."""
-        return self.estimate_many(subset, [value])[0]
+    def _aligned_gathers(
+        self,
+        subsets: Tuple[Subset, ...],
+        groups: Tuple[Tuple[Tuple[int, ...], ...], ...],
+    ) -> Tuple[Optional[List[List[np.ndarray]]], int]:
+        """Cached full columns gathered onto the aligned users.
 
-    def estimate_many(
-        self, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> List[QueryEstimate]:
-        """Algorithm 2 estimates for many candidate values in one block call."""
-        return list(self.execute(EstimateManyRequest.build(subset, values)).result)
-
-    def marginal(self, subset: Sequence[int]) -> np.ndarray:
-        """Estimated fraction for *every* candidate value of a subset.
-
-        The full-marginal workload — all ``2**|B|`` de-biased frequencies
-        from one block evaluation (values enumerated MSB-first).
+        Returns ``(gathered, num_users)`` with ``gathered[i][j]`` the
+        ``i``-th subset's aligned column for group ``j``, or
+        ``(None, 0)`` when no user spans all subsets.  Each subset costs
+        one cache fetch for all groups (a warm cache: no PRF call).
         """
-        return np.asarray(self.execute(MarginalRequest.build(subset)).result)
-
-    def fraction(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        """Fraction of users with ``d_B = v``; combines sketches if needed.
-
-        The Appendix F combination path is object-free and cache-fed: the
-        partition's pieces are user-aligned at the array level
-        (:meth:`~repro.server.collector.SketchStore.aligned_columns`) and
-        each piece's virtual bits come from the full cached ``(subset,
-        value)`` evaluation column, gathered by fancy-indexing — a warm
-        cache answers without any new PRF call, a cold one costs one
-        block call per piece.
-        """
-        return self.execute(FractionRequest.build(subset, value)).result
-
-    def count(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        """Estimated count ``I(B, v)``."""
-        return self.counts_block(subset, [value])[0]
-
-    def counts_block(
-        self, subset: Sequence[int], values: Sequence[Tuple[int, ...]]
-    ) -> List[float]:
-        """Estimated counts for several values of one subset.
-
-        Directly-sketched subsets resolve every value from a single cached
-        block evaluation.  Partition-covered subsets go through the
-        cache-fed Appendix F combination **batched**: one aligned
-        intersection and one cached column fetch per partition piece
-        (covering every requested projection), instead of redoing both
-        per value.  Each entry equals ``count`` exactly.
-        """
-        return list(self.execute(CountsBlockRequest.build(subset, values)).result)
-
-    def conjunction(self, query: Conjunction) -> float:
-        """Fraction of users satisfying a conjunction of literals."""
-        return self.fraction(query.subset, query.value)
-
-    # ------------------------------------------------------------------
-    # Request handlers (the actual query-family implementations)
-    # ------------------------------------------------------------------
-    def _exec_estimate_many(self, request: EstimateManyRequest) -> List[QueryEstimate]:
-        key = request.subset
-        if not self.store.has_subset(key):
-            raise MissingSketchError(
-                f"subset {key} was not sketched; available subsets: "
-                f"{sorted(self.store.subsets)}"
-            )
-        return self.cache.estimates(key, list(request.values))
-
-    def _exec_marginal(self, request: MarginalRequest) -> np.ndarray:
-        key = request.subset
-        width = len(key)
-        if width > 12:
-            raise ValueError(
-                f"a marginal over 2**{width} values is not sensible; "
-                "query specific values instead"
-            )
-        candidates = [int_to_bits(v, width) for v in range(1 << width)]
-        estimates = self.estimate_many(key, candidates)
-        return np.asarray([e.fraction for e in estimates])
-
-    def _exec_fraction(self, request: FractionRequest) -> float:
-        key, value = request.subset, request.value
-        if self.store.has_subset(key):
-            return self.estimate(key, value).fraction
-        partition = self._require_partition(key)
-        values = self._project_value(key, value, partition)
-        columns, _ = self._aligned_cached_bits(partition, values)
-        combined = combine_aligned_bits(columns, self.estimator.params.p)
-        return combined.clamped_fraction
-
-    def _exec_counts_block(self, request: CountsBlockRequest) -> List[float]:
-        key = request.subset
-        value_ts = list(request.values)
-        if self.store.has_subset(key):
-            return [estimate.count for estimate in self.cache.estimates(key, value_ts)]
-        if not value_ts:
-            return []
-        partition = self._require_partition(key)
-        aligned = self._aligned_columns(tuple(partition))
-        num_users = len(aligned.user_ids)
-        # projections[j][i] = value j projected onto partition piece i.
-        projections = [
-            self._project_value(key, value_t, partition) for value_t in value_ts
-        ]
+        if any(not self.store.has_subset(subset) for subset in subsets):
+            return None, 0
+        try:
+            aligned = self._aligned_columns(tuple(subsets))
+        except ValueError:
+            return None, 0
         gathered: List[List[np.ndarray]] = []
-        for i, (piece, index) in enumerate(zip(partition, aligned.indices)):
-            fulls = self.cache.bits(
-                piece, [projections[j][i] for j in range(len(value_ts))]
-            )
+        for i, (subset, index) in enumerate(zip(subsets, aligned.indices)):
+            fulls = self.cache.bits(subset, [group[i] for group in groups])
             gathered.append([np.asarray(full)[index] for full in fulls])
-        p = self.estimator.params.p
-        counts = []
-        for j in range(len(value_ts)):
-            combined = combine_aligned_bits(
-                [gathered[i][j] for i in range(len(partition))], p
-            )
-            counts.append(combined.clamped_fraction * num_users)
-        return counts
+        return gathered, len(aligned.user_ids)
 
-    # ------------------------------------------------------------------
-    # Plan execution and Section 4.1 conveniences
-    # ------------------------------------------------------------------
-    def evaluate(self, plan: LinearPlan) -> float:
-        """Execute a compiled linear plan against the sketch store.
+    def _aligned_columns(self, keys: Tuple[Subset, ...]) -> AlignedColumns:
+        """Memoised :meth:`~repro.server.collector.SketchStore.aligned_columns`.
 
-        Terms are grouped by subset and each group answered from one PRF
-        block call (plus the cache), so a plan touching ``q`` subsets
-        costs ``q`` block evaluations instead of ``len(plan.terms)``
-        full passes over the sketches.
+        Sound because store columns are append-only: the intersection is
+        a pure function of the subset tuple and the column sizes, so an
+        entry is reused until any participating column grows (and then
+        recomputed, never patched).
         """
-        return self.execute(EvaluatePlanRequest.from_plan(plan)).result
+        sizes = tuple(self.store.num_users(key) for key in keys)
+        with self._memo_lock:
+            cached = self._aligned_cache.get(keys)
+            if cached is not None and cached[0] == sizes:
+                return cached[1]
+        aligned = self.store.aligned_columns(keys)
+        # Bounded FIFO: each entry holds O(M) index/id references.
+        with self._memo_lock:
+            if len(self._aligned_cache) >= MEMO_ENTRIES and keys not in self._aligned_cache:
+                self._aligned_cache.pop(next(iter(self._aligned_cache)))
+            self._aligned_cache[keys] = (sizes, aligned)
+        return aligned
 
+    # ------------------------------------------------------------------
+    # Section 4.1 conveniences (schema-level, compiled to plans)
+    # ------------------------------------------------------------------
     def sum(self, name: str) -> float:
         """Estimated ``sum_u a_u`` (eq. 4)."""
         return self.evaluate(sum_plan(self.schema, name))
 
     def mean(self, name: str) -> float:
         """Estimated attribute mean."""
-        subset = (self.schema.bit(name, 1),)
-        num_users = self.store.num_users(subset)
-        if num_users == 0:
-            raise MissingSketchError(
-                f"no per-bit sketches for attribute {name!r}; publish its bits first"
-            )
+        num_users = self._attribute_users(name)
         return self.sum(name) / num_users
 
     def inner_product(self, name_a: str, name_b: str) -> float:
@@ -1288,46 +1161,45 @@ class QueryEngine:
         eq. 4 sum and the second-moment plan.  Clamped at 0 — sampling
         noise can push the raw difference slightly negative.
         """
-        subset = (self.schema.bit(name, 1),)
-        num_users = self.store.num_users(subset)
-        if num_users == 0:
-            raise MissingSketchError(
-                f"no per-bit sketches for attribute {name!r}; publish its bits first"
-            )
+        num_users = self._attribute_users(name)
         mean = self.sum(name) / num_users
         second = self.second_moment(name) / num_users
         return max(0.0, second - mean**2)
 
+    def _attribute_users(self, name: str) -> int:
+        num_users = self.store.num_users((self.schema.bit(name, 1),))
+        if num_users == 0:
+            raise MissingSketchError(
+                f"no per-bit sketches for attribute {name!r}; publish its bits first"
+            )
+        return num_users
+
     # ------------------------------------------------------------------
     # Categorical queries (whole-attribute sketches)
     # ------------------------------------------------------------------
-    def _attribute_sketches(self, name: str):
+    def _attribute_subset(self, name: str) -> Subset:
         subset = self.schema.bits(name)
         if not self.store.has_subset(subset):
             raise MissingSketchError(
                 f"attribute {name!r} was not sketched as a whole subset; "
                 "categorical queries need an attribute publishing policy"
             )
-        return self.store.sketches_for(subset)
+        return subset
 
     def histogram(self, name: str, normalize: bool = True) -> np.ndarray:
-        """De-biased frequency of every value of a categorical attribute."""
-        return categorical_histogram(
-            self.estimator, self._attribute_sketches(name), self.schema, name,
-            normalize=normalize,
-        )
+        """De-biased frequency of every value of a categorical attribute,
+        from the cached evaluation columns."""
+        subset = self._attribute_subset(name)
+        estimates = self.estimate_many(subset, category_values(self.schema, name))
+        return histogram_from_estimates(estimates, normalize=normalize)
 
     def mode(self, name: str) -> Tuple[int, float]:
         """Most frequent category and its estimated frequency."""
-        return estimate_mode(
-            self.estimator, self._attribute_sketches(name), self.schema, name
-        )
+        return mode_of(self.histogram(name))
 
     def top_k(self, name: str, k: int) -> List[Tuple[int, float]]:
         """The ``k`` most frequent categories of an attribute."""
-        return top_k_categories(
-            self.estimator, self._attribute_sketches(name), self.schema, name, k
-        )
+        return top_k_of(self.histogram(name), k)
 
     def count_less_than(self, name: str, threshold: int) -> float:
         """Estimated ``|{u : a_u < c}|``."""
@@ -1369,40 +1241,10 @@ class QueryEngine:
 
     def decision_tree(self, root: DecisionNode) -> float:
         """Estimated fraction of users accepted by a decision tree."""
-        num_users = self._max_users()
-        return self.evaluate(decision_tree_plan(root)) / num_users
-
-    def any_of(self, queries: Sequence[Conjunction]) -> float:
-        """Fraction of users satisfying at least one conjunction.
-
-        Appendix F's complement trick: reconstruct the per-user count of
-        satisfied components and return ``1 - Pr[none]``.  Each component
-        conjunction's subset must have been sketched directly.  The
-        component indicator columns are full cached evaluation vectors
-        gathered onto the aligned users — a warm cache answers with zero
-        new PRF block calls, a cold one with one per component subset.
-        """
-        if not queries:
-            raise ValueError("need at least one conjunction")
-        return self.execute(
-            AnyOfRequest.build([(q.subset, q.value) for q in queries])
-        ).result
-
-    # ------------------------------------------------------------------
-    # Virtual-bit queries (Appendix E, exactly-l)
-    # ------------------------------------------------------------------
-    def bit_matrix(self, positions: Sequence[int], target: int = 1) -> np.ndarray:
-        """p-perturbed indicator matrix from per-bit sketches.
-
-        Column ``j`` holds ``H(id, {pos_j}, (target,), s)`` per user — a
-        p-perturbed indicator of ``d[pos_j] = target``.  Requires a
-        per-bit publishing policy for the positions involved.
-        """
-        return self.execute(BitMatrixRequest.build(positions, target)).result
-
-    def exactly_l(self, positions: Sequence[int], l: int) -> float:
-        """Fraction of users with exactly ``l`` of the given bits set."""
-        return self.execute(ExactlyLRequest.build(positions, l)).result
+        counts = [self.store.num_users(s) for s in self.store.subsets]
+        if not counts:
+            raise MissingSketchError("the sketch store is empty")
+        return self.evaluate(decision_tree_plan(root)) / max(counts)
 
     def addition_below(self, name_a: str, name_b: str, power: int) -> float:
         """Fraction of users with ``a_u + b_u < 2**power`` (Appendix E)."""
@@ -1411,162 +1253,3 @@ class QueryEngine:
         return addition_interval_fraction(
             matrix_a, matrix_b, self.estimator.params.p, power
         )
-
-    # ------------------------------------------------------------------
-    # Request handlers (continued) and the dispatch table
-    # ------------------------------------------------------------------
-    def _exec_any_of(self, request: AnyOfRequest) -> float:
-        if not request.queries:
-            raise ValueError("need at least one conjunction")
-        subsets = [subset for subset, _value in request.queries]
-        for subset in subsets:
-            if not self.store.has_subset(subset):
-                raise MissingSketchError(
-                    f"subset {subset} was not sketched; disjunctions need "
-                    "each component's subset published directly"
-                )
-        columns, _ = self._aligned_cached_bits(
-            subsets, [value for _subset, value in request.queries]
-        )
-        return disjunction_fraction_from_bits(columns, self.estimator.params.p)
-
-    def _exec_bit_matrix(self, request: BitMatrixRequest) -> np.ndarray:
-        subsets = [(int(pos),) for pos in request.positions]
-        for subset in subsets:
-            if not self.store.has_subset(subset):
-                raise MissingSketchError(
-                    f"bit {subset[0]} was not sketched individually; "
-                    "use a per-bit publishing policy"
-                )
-        target_t = (int(request.target),)
-        columns, _ = self._aligned_cached_bits(subsets, [target_t] * len(subsets))
-        return np.column_stack(columns)
-
-    def _exec_exactly_l(self, request: ExactlyLRequest) -> float:
-        bits = self.bit_matrix(request.positions, target=1)
-        return exactly_l_fraction(bits, self.estimator.params.p, request.l)
-
-    def _exec_evaluate_plan(self, request: EvaluatePlanRequest) -> float:
-        return evaluate_plan(
-            request.to_plan(), self.count, block_count_fn=self.counts_block
-        )
-
-    def _exec_ping(self, request: PingRequest) -> dict:
-        # Liveness only: answered in-process so a local engine and a
-        # remote perimeter agree that ping is a valid, free request.
-        return {"ok": True}
-
-    #: kind -> handler; the one table :meth:`execute` dispatches through.
-    _HANDLERS = {
-        CountsBlockRequest.kind: _exec_counts_block,
-        EstimateManyRequest.kind: _exec_estimate_many,
-        MarginalRequest.kind: _exec_marginal,
-        FractionRequest.kind: _exec_fraction,
-        AnyOfRequest.kind: _exec_any_of,
-        ExactlyLRequest.kind: _exec_exactly_l,
-        BitMatrixRequest.kind: _exec_bit_matrix,
-        EvaluatePlanRequest.kind: _exec_evaluate_plan,
-        PingRequest.kind: _exec_ping,
-    }
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _max_users(self) -> int:
-        counts = [self.store.num_users(s) for s in self.store.subsets]
-        if not counts:
-            raise MissingSketchError("the sketch store is empty")
-        return max(counts)
-
-    def _aligned_cached_bits(
-        self,
-        subsets: Sequence[Sequence[int]],
-        values: Sequence[Sequence[int]],
-    ) -> Tuple[List[np.ndarray], int]:
-        """Per-subset virtual-bit columns gathered onto the aligned users.
-
-        The object-free multi-subset primitive every combination path
-        shares: intersect the subsets' columns at the array level, fetch
-        each subset's **full** cached evaluation column for its value
-        (one PRF block call on a cold cache, none on a warm one), and
-        gather the aligned rows by fancy-indexing.  Returns the per-
-        subset columns plus the aligned user count; row ``u`` of every
-        column belongs to the same user.
-        """
-        keys = [tuple(int(i) for i in s) for s in subsets]
-        aligned = self._aligned_columns(tuple(keys))
-        columns = []
-        for key, index, value in zip(keys, aligned.indices, values):
-            full = self.cache.bits(key, [tuple(int(bit) for bit in value)])[0]
-            columns.append(np.asarray(full)[index])
-        return columns, len(aligned.user_ids)
-
-    def _aligned_columns(self, keys: Tuple[Subset, ...]) -> AlignedColumns:
-        """Memoised :meth:`~repro.server.collector.SketchStore.aligned_columns`.
-
-        Sound because store columns are append-only: the intersection is
-        a pure function of the subset tuple and the column sizes, so an
-        entry is reused until any participating column grows (and then
-        recomputed, never patched).
-        """
-        sizes = tuple(self.store.num_users(key) for key in keys)
-        with self._memo_lock:
-            cached = self._aligned_cache.get(keys)
-            if cached is not None and cached[0] == sizes:
-                return cached[1]
-        aligned = self.store.aligned_columns(keys)
-        # Bounded FIFO: each entry holds O(M) index/id references, so an
-        # analyst sweeping many distinct subset combinations must not
-        # grow memory without limit — beyond the bound the oldest shape
-        # is dropped and simply recomputed on its next use.
-        with self._memo_lock:
-            if len(self._aligned_cache) >= 64 and keys not in self._aligned_cache:
-                self._aligned_cache.pop(next(iter(self._aligned_cache)))
-            self._aligned_cache[keys] = (sizes, aligned)
-        return aligned
-
-    def _require_partition(self, target: Subset) -> List[Subset]:
-        """The memoised partition of ``target``, or :class:`MissingSketchError`."""
-        partition = self._find_partition(target)
-        if partition is None:
-            raise MissingSketchError(
-                f"subset {target} is neither sketched nor a disjoint union of "
-                f"sketched subsets; available: {sorted(self.store.subsets)}"
-            )
-        return partition
-
-    def _find_partition(self, target: Subset) -> Optional[List[Subset]]:
-        """Memoised exact-cover search (see :meth:`_search_partition`).
-
-        The result is a pure function of ``(target, store.subsets)``:
-        cached per target and invalidated wholesale when the store's
-        subset list changes (publishing into an *existing* subset cannot
-        change any partition).
-        """
-        subsets = self.store.subsets
-        with self._memo_lock:
-            if subsets != self._partition_snapshot:
-                self._partition_cache.clear()
-                self._partition_snapshot = subsets
-            if target in self._partition_cache:
-                return self._partition_cache[target]
-        partition = self._search_partition(target)
-        with self._memo_lock:
-            self._partition_cache[target] = partition
-        return partition
-
-    def _search_partition(self, target: Subset) -> Optional[List[Subset]]:
-        """Express ``target`` as a disjoint union of sketched subsets
-        (see :func:`search_exact_cover`)."""
-        return search_exact_cover(target, self.store.subsets)
-
-    def _partition_users(self, target: Subset) -> int:
-        partition = self._require_partition(target)
-        return len(self._aligned_columns(tuple(partition)).user_ids)
-
-    @staticmethod
-    def _project_value(
-        target: Subset, value: Tuple[int, ...], partition: List[Subset]
-    ) -> List[Tuple[int, ...]]:
-        lookup = dict(zip(target, value))
-        return [tuple(lookup[pos] for pos in piece) for piece in partition]

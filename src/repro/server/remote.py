@@ -60,34 +60,23 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple, Union
 
 from ..core.accountant import PrivacyAccountant
-from ..core.estimator import QueryEstimate
 from ..protocol.messages import (
     ERROR_TAG,
-    AnyOfRequest,
-    BitMatrixRequest,
-    CountsBlockRequest,
-    EstimateManyRequest,
-    EvaluatePlanRequest,
-    ExactlyLRequest,
-    FractionRequest,
-    MarginalRequest,
     PingRequest,
     QueryError,
     QueryRequest,
     QueryResponse,
     StatusRequest,
+    decode_result,
     dumps_error,
     dumps_hello,
     dumps_request,
     dumps_response,
     dumps_welcome,
     error_from_exception,
-    estimate_from_payload,
     exception_from_error,
     loads_error,
     loads_hello,
@@ -95,7 +84,7 @@ from ..protocol.messages import (
     loads_welcome,
     parse_reply,
 )
-from ..queries.conjunctive import Conjunction, LinearPlan
+from .query_core import QuerySurface
 from .resilience import Deadline, DeadlineExceeded, RetryPolicy, run_with_deadline
 
 __all__ = ["RemoteServer", "RemoteQueryEngine", "serve_in_thread"]
@@ -668,16 +657,19 @@ def _parse_welcome(payload: str) -> str:
     return loads_welcome(payload)
 
 
-class RemoteQueryEngine:
+class RemoteQueryEngine(QuerySurface):
     """Blocking client speaking the typed protocol to a :class:`RemoteServer`.
 
-    Exposes the same query surface as the local
-    :class:`~repro.server.engine.QueryEngine` — ``count``, ``fraction``,
-    ``counts_block``, ``estimate``, ``estimate_many``, ``marginal``,
-    ``any_of``, ``exactly_l``, ``bit_matrix``, ``evaluate``,
-    ``conjunction`` — and raises the same exception types the local
-    engine would, reconstructed from the error envelope.  Results are
-    bit-identical to local answers: the wire carries ``repr``
+    Shares the query surface of the local
+    :class:`~repro.server.engine.QueryEngine`
+    (:class:`~repro.server.query_core.QuerySurface`: ``count``,
+    ``fraction``, ``counts_block``, ``estimate``, ``estimate_many``,
+    ``marginal``, ``any_of``, ``exactly_l``, ``bit_matrix``,
+    ``evaluate``, ``conjunction``) and raises the same exception types
+    the local engine would, reconstructed from the error envelope.
+    :meth:`execute` decodes analyst results to the local types and
+    dtypes (:func:`~repro.protocol.messages.decode_result`), and they
+    are bit-identical to local answers: the wire carries ``repr``
     round-tripped doubles, which JSON parses back to the same bits.
 
     Usable as a context manager; one connection per instance.
@@ -774,7 +766,10 @@ class RemoteQueryEngine:
         ``deadline`` overrides the instance-level deadline for this call
         (a float is a fresh budget in seconds; a
         :class:`~repro.server.resilience.Deadline` is an already-ticking
-        one, as the shard coordinator forwards mid-request).
+        one, as the shard coordinator forwards mid-request).  The result
+        comes back in the native types a local ``execute`` returns;
+        non-analyst kinds (``shard_partial``, ops and admin kinds) stay
+        JSON-native.
         """
         if deadline is None:
             active = None if self._deadline is None else Deadline(self._deadline)
@@ -806,7 +801,10 @@ class RemoteQueryEngine:
                     self._send(
                         dumps_request(request, deadline_ms=active.remaining_ms())
                     )
-                return parse_reply(self._recv())
+                response = parse_reply(self._recv())
+                return QueryResponse(
+                    response.kind, decode_result(response.kind, response.result)
+                )
             except OSError as exc:  # includes ConnectionError, socket.timeout
                 last_exc = exc
                 self._teardown()
@@ -821,49 +819,6 @@ class RemoteQueryEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- the QueryEngine surface ----------------------------------------
-    def counts_block(
-        self, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> List[float]:
-        result = self.execute(CountsBlockRequest.build(subset, values)).result
-        return [float(count) for count in result]
-
-    def count(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        return self.counts_block(subset, [value])[0]
-
-    def fraction(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        return float(self.execute(FractionRequest.build(subset, value)).result)
-
-    def conjunction(self, query: Conjunction) -> float:
-        return self.fraction(query.subset, query.value)
-
-    def estimate(self, subset: Sequence[int], value: Sequence[int]) -> QueryEstimate:
-        return self.estimate_many(subset, [value])[0]
-
-    def estimate_many(
-        self, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> List[QueryEstimate]:
-        result = self.execute(EstimateManyRequest.build(subset, values)).result
-        return [estimate_from_payload(payload) for payload in result]
-
-    def marginal(self, subset: Sequence[int]) -> np.ndarray:
-        result = self.execute(MarginalRequest.build(subset)).result
-        return np.asarray([float(x) for x in result])
-
-    def any_of(self, queries: Sequence[Conjunction]) -> float:
-        request = AnyOfRequest.build([(q.subset, q.value) for q in queries])
-        return float(self.execute(request).result)
-
-    def exactly_l(self, positions: Sequence[int], l: int) -> float:
-        return float(self.execute(ExactlyLRequest.build(positions, l)).result)
-
-    def bit_matrix(self, positions: Sequence[int], target: int = 1) -> np.ndarray:
-        result = self.execute(BitMatrixRequest.build(positions, target)).result
-        return np.asarray(result, dtype=np.uint8)
-
-    def evaluate(self, plan: LinearPlan) -> float:
-        return float(self.execute(EvaluatePlanRequest.from_plan(plan)).result)
 
     # -- ops surface ---------------------------------------------------
     def ping(self) -> dict:

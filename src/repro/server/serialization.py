@@ -34,16 +34,6 @@ the published record; see :class:`~repro.core.sketch.Sketch`); pass
 ``include_iterations=True`` for a fully lossless round-trip — the sharded
 collector uses it so worker shards ship back bit-identical to an
 in-process run.  The optional ``"it"`` field is ignored by older readers.
-
-The module also keeps the **legacy batched block-request wire protocol**:
-one JSON message carrying ``(subset, values[])`` and its response carrying
-the matching counts.  Since the typed query protocol landed
-(:mod:`repro.protocol`), these functions are deprecated shims: they share
-the hoisted envelope helpers, :func:`handle_block_request` dispatches
-through :meth:`~repro.server.engine.QueryEngine.execute` like every other
-caller, and failures come back as the structured error envelope instead
-of a raw exception.  The bytes they emit are unchanged, so PR 3-era
-payloads still parse.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import IO, TYPE_CHECKING, List, Sequence, Tuple
+from typing import IO
 
 import numpy as np
 
@@ -67,23 +57,13 @@ from .._npz import (
 from ..core.params import PrivacyParams
 from ..core.prf import public_prf_meta
 from ..core.sketch import Sketch
-from ..protocol.envelope import dumps_wire_message, loads_wire_message
-from ..protocol.messages import CountsBlockRequest, dumps_error, error_from_exception
 from .collector import SketchColumn, SketchStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports collector)
-    from .engine import QueryEngine
 
 __all__ = [
     "save_store",
     "load_store",
     "dumps_store",
     "loads_store",
-    "dumps_block_request",
-    "loads_block_request",
-    "dumps_block_response",
-    "loads_block_response",
-    "handle_block_request",
 ]
 
 _FORMAT_VERSION = 1
@@ -349,108 +329,3 @@ def loads_store(payload: str | bytes, expected_prf=None) -> tuple[SketchStore, d
     store, header = _read(io.StringIO(payload))
     _check_prf_header(header, expected_prf)
     return store, header
-
-
-# ----------------------------------------------------------------------
-# Batched block-request wire protocol (deprecated shims over repro.protocol)
-# ----------------------------------------------------------------------
-_REQUEST_TAG = "repro-block-request"
-_RESPONSE_TAG = "repro-block-response"
-_WIRE_VERSION = 1
-
-
-def dumps_block_request(
-    subset: Sequence[int], values: Sequence[Sequence[int]]
-) -> str:
-    """Encode one batched ``(subset, values[])`` count request.
-
-    A remote analyst sends every candidate value of one subset — a
-    histogram, a full marginal, one group of a compiled plan — in a
-    single message instead of one conjunctive query per value.
-
-    .. deprecated:: superseded by
-       :class:`repro.protocol.messages.CountsBlockRequest`; kept as a
-       byte-compatible shim for PR 3-era payloads.
-    """
-    request = CountsBlockRequest.build(subset, values)
-    if not request.values:
-        raise ValueError("a block request needs at least one value")
-    return dumps_wire_message(
-        _REQUEST_TAG,
-        _WIRE_VERSION,
-        {
-            "subset": list(request.subset),
-            "values": [list(v) for v in request.values],
-        },
-    )
-
-
-def loads_block_request(payload: str) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
-    """Decode a block request into ``(subset, values)`` tuples."""
-    message = loads_wire_message(payload, _REQUEST_TAG, _WIRE_VERSION)
-    try:
-        subset = tuple(int(i) for i in message["subset"])
-        values = [tuple(int(bit) for bit in value) for value in message["values"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed block request: {exc}") from exc
-    if not values:
-        raise ValueError("malformed block request: empty value list")
-    for value in values:
-        if len(value) != len(subset):
-            raise ValueError(
-                f"malformed block request: value width {len(value)} does not "
-                f"match subset size {len(subset)}"
-            )
-    return subset, values
-
-
-def dumps_block_response(
-    subset: Sequence[int],
-    values: Sequence[Sequence[int]],
-    counts: Sequence[float],
-) -> str:
-    """Encode the response to a block request: one count per value."""
-    if len(counts) != len(values):
-        raise ValueError(
-            f"{len(counts)} counts for {len(values)} values; must match 1:1"
-        )
-    return dumps_wire_message(
-        _RESPONSE_TAG,
-        _WIRE_VERSION,
-        {
-            "subset": [int(i) for i in subset],
-            "values": [[int(bit) for bit in value] for value in values],
-            "counts": [float(count) for count in counts],
-        },
-    )
-
-
-def loads_block_response(payload: str) -> List[float]:
-    """Decode a block response into the per-value counts (request order)."""
-    message = loads_wire_message(payload, _RESPONSE_TAG, _WIRE_VERSION)
-    try:
-        return [float(count) for count in message["counts"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed block response: {exc}") from exc
-
-
-def handle_block_request(engine: "QueryEngine", payload: str) -> str:
-    """Server-side dispatcher: block-request payload in, payload out — always.
-
-    Resolves the whole batch through
-    :meth:`~repro.server.engine.QueryEngine.execute` — the same dispatch
-    table every in-process call and the asyncio server use, so remote
-    analysts hit the identical cached block-evaluation path.
-
-    No exception escapes to the transport caller any more: a malformed,
-    truncated, or unknown payload, a missing sketch, or any engine
-    failure comes back as the structured error envelope
-    (:func:`repro.protocol.messages.dumps_error` — code + message, never
-    a traceback).
-    """
-    try:
-        subset, values = loads_block_request(payload)
-        response = engine.execute(CountsBlockRequest.build(subset, values))
-        return dumps_block_response(subset, values, response.result)
-    except Exception as exc:  # noqa: BLE001 - the perimeter never re-raises
-        return dumps_error(error_from_exception(exc))

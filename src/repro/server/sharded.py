@@ -15,12 +15,12 @@ Why the sharded answers are *bit-identical*, not merely close:
   bit sums, Hamming-weight histograms, or aligned matrix rows — and
   integers from disjoint user ranges recombine exactly
   (:mod:`repro.queries.reduction`).
-* The coordinator re-runs the single-store float arithmetic **once**,
-  on the merged integers: ``sum/M`` is the same correctly-rounded
-  float64 division ``np.mean`` performs, and the merged weight
-  histogram feeds the same ``np.linalg.solve`` Appendix F uses
+* The coordinator and the single-store engine are the same
+  :class:`~repro.server.query_core.QueryCore`: both merge integer
+  partials and run the float arithmetic once on the merged integers
   (:meth:`SketchEstimator.estimate_from_counts`,
-  :func:`~repro.core.combine.combine_from_weight_counts`).
+  :func:`~repro.core.combine.combine_from_weight_counts`).  A single
+  store is simply the one-shard case, so parity holds by construction.
 * Contiguous ranges of the *sorted* user universe keep each shard's
   aligned order a contiguous run of the single-store aligned order, so
   ``bit_matrix`` rows concatenate back exactly.
@@ -52,27 +52,16 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.combine import combine_from_weight_counts
-from ..core.estimator import QueryEstimate, SketchEstimator
+from ..core.estimator import SketchEstimator
 from ..core.params import PrivacyParams
 from ..core.partition import merge_columns, split_columns_at, user_universe
 from ..core.prf import prf_from_spec
-from ..data.encoding import int_to_bits
-from ..protocol.envelope import ProtocolError
 from ..protocol.messages import (
-    AnyOfRequest,
-    BitMatrixRequest,
-    CountsBlockRequest,
-    EstimateManyRequest,
-    EvaluatePlanRequest,
-    ExactlyLRequest,
-    FractionRequest,
-    MarginalRequest,
     PingRequest,
     QueryRequest,
     QueryResponse,
@@ -84,15 +73,9 @@ from ..protocol.messages import (
     ShardPartialRequest,
     ShardSnapshotRequest,
 )
-from ..queries.ast import Conjunction
-from ..queries.conjunctive import LinearPlan, evaluate_plan
-from ..queries.reduction import (
-    merge_bit_sum_partials,
-    merge_matrix_partials,
-    merge_weight_count_partials,
-)
 from .collector import SketchStore
-from .engine import MissingSketchError, QueryEngine, search_exact_cover
+from .engine import QueryEngine
+from .query_core import QueryCore
 from .remote import RemoteQueryEngine, RemoteServer
 from .resilience import (
     CircuitBreaker,
@@ -487,21 +470,17 @@ class _ReadWriteGate:
 
 
 class ShardWorkerEngine:
-    """One shard's engine: a plain :class:`QueryEngine` plus ``shard_partial``.
+    """One shard's engine: a plain :class:`QueryEngine` behind a
+    read/write gate, plus the rebalance ops.
 
     Delegates every public query kind to the wrapped engine (a single
     shard is a perfectly good single-store server for its own user
-    range) and answers the shard-internal
-    :class:`~repro.protocol.messages.ShardPartialRequest` with integer
-    sufficient statistics computed through the same cached-column paths
-    the engine's own handlers use — so coordinator reductions reuse the
+    range) and routes the shard-internal
+    :class:`~repro.protocol.messages.ShardPartialRequest` to
+    :meth:`QueryEngine.partial` — the very statistics the engine's own
+    handlers gather in process, so coordinator reductions reuse the
     shard's persistent cache exactly like local queries do.
-
-    A shard holding no publisher of a requested subset, or no user
-    aligned across all requested subsets, returns a zero partial
-    (``num_users = 0``) rather than an error: whether a subset is
-    missing *globally* is the coordinator's call against the full
-    catalog.
+    ``shard_partial`` stays off the engine's analyst dispatch table.
     """
 
     def __init__(
@@ -548,7 +527,9 @@ class ShardWorkerEngine:
             if request.kind == ShardSnapshotRequest.kind:
                 return QueryResponse(kind=request.kind, result=self._snapshot(request))
             if request.kind == ShardPartialRequest.kind:
-                return QueryResponse(kind=request.kind, result=self._partial(request))
+                return QueryResponse(
+                    kind=request.kind, result=self.engine.partial(request)
+                )
             return self.engine.execute(request)
 
     # -- rebalance ops (service → worker; not on the analyst surface) --
@@ -804,74 +785,6 @@ class ShardWorkerEngine:
         self._install_store(left_store, carry)
         return stats
 
-    def _partial(self, request: ShardPartialRequest) -> dict:
-        if request.op == "bit_sums":
-            return self._bit_sums(request)
-        if request.op == "weight_counts":
-            return self._weight_counts(request)
-        return self._matrix_rows(request)
-
-    def _bit_sums(self, request: ShardPartialRequest) -> dict:
-        subset = request.subsets[0]
-        values = [group[0] for group in request.groups]
-        if not self.engine.store.has_subset(subset):
-            return {"num_users": 0, "sums": [0] * len(values)}
-        columns = self.engine.cache.bits(subset, values)
-        return {
-            "num_users": int(self.engine.store.num_users(subset)),
-            "sums": [int(np.asarray(column).sum()) for column in columns],
-        }
-
-    def _aligned_gathers(
-        self,
-        subsets: Tuple[Subset, ...],
-        groups: Tuple[Tuple[Tuple[int, ...], ...], ...],
-    ) -> Tuple[Optional[List[List[np.ndarray]]], int]:
-        """Cached full columns gathered onto this shard's aligned users.
-
-        Returns ``(gathered, num_users)`` with ``gathered[i][j]`` the
-        ``i``-th subset's aligned column for group ``j``, or
-        ``(None, 0)`` when this shard has no user spanning all subsets.
-        """
-        store = self.engine.store
-        if any(not store.has_subset(subset) for subset in subsets):
-            return None, 0
-        try:
-            aligned = self.engine._aligned_columns(tuple(subsets))
-        except ValueError:
-            return None, 0
-        gathered: List[List[np.ndarray]] = []
-        for i, (subset, index) in enumerate(zip(subsets, aligned.indices)):
-            fulls = self.engine.cache.bits(subset, [group[i] for group in groups])
-            gathered.append([np.asarray(full)[index] for full in fulls])
-        return gathered, len(aligned.user_ids)
-
-    def _weight_counts(self, request: ShardPartialRequest) -> dict:
-        k = len(request.subsets)
-        gathered, num_users = self._aligned_gathers(request.subsets, request.groups)
-        if gathered is None:
-            return {
-                "num_users": 0,
-                "counts": [[0] * (k + 1) for _ in request.groups],
-            }
-        counts = []
-        for j in range(len(request.groups)):
-            # Mirrors combine.weight_histogram's integer half exactly:
-            # row sums of the (users x k) int8 matrix, then bincount.
-            matrix = np.column_stack([gathered[i][j] for i in range(k)])
-            weights = matrix.sum(axis=1).astype(np.int64)
-            counts.append(np.bincount(weights, minlength=k + 1).tolist())
-        return {"num_users": num_users, "counts": counts}
-
-    def _matrix_rows(self, request: ShardPartialRequest) -> dict:
-        gathered, num_users = self._aligned_gathers(request.subsets, request.groups)
-        if gathered is None:
-            return {"num_users": 0, "rows": []}
-        matrix = np.column_stack(
-            [gathered[i][0] for i in range(len(request.subsets))]
-        )
-        return {"num_users": num_users, "rows": matrix.tolist()}
-
 
 def run_shard_worker(config: dict) -> None:
     """Process entry point for one shard worker (spawn-safe primitives only).
@@ -972,17 +885,18 @@ class _ShardHandle:
                 self.client.close()
 
 
-class ShardCoordinator:
+class ShardCoordinator(QueryCore):
     """Scatter-gather front-end speaking the typed query protocol unchanged.
 
-    Drop-in for a single-store :class:`QueryEngine` wherever only the
-    ``execute``/``estimator`` surface is used — in particular behind
+    The :class:`~repro.server.query_core.QueryCore` whose gather is a
+    fan-out to the shard workers.  Drop-in for a single-store
+    :class:`QueryEngine` wherever only the ``execute``/``estimator``
+    surface is used — in particular behind
     :class:`~repro.server.remote.RemoteServer` — and byte-compatible
-    with it: every handler reproduces the single-store result *and* the
-    single-store error messages and precedence, because global checks
-    (catalog membership, widths, partitions) run against the original
-    store's subset catalog **before** any fan-out, and the float
-    arithmetic runs exactly once on exactly-merged integer partials.
+    with it: both run the same family handlers, the catalog checks run
+    against the original store's subset catalog (frozen in the shard
+    map) **before** any fan-out, and the float arithmetic runs exactly
+    once on exactly-merged integer partials.
 
     Membership is dynamic: shards :meth:`join` with a live address and
     :meth:`leave` with request draining (in-flight fan-outs finish
@@ -1006,6 +920,7 @@ class ShardCoordinator:
         breaker_reset: float = 1.0,
         breaker_clock=time.monotonic,
     ) -> None:
+        super().__init__()
         self.shard_map = shard_map
         self.estimator = estimator
         self.timeout = float(timeout)
@@ -1018,7 +933,7 @@ class ShardCoordinator:
         self._subsets: Tuple[Subset, ...] = tuple(
             tuple(int(i) for i in subset) for subset in shard_map.subsets
         )
-        self._catalog: Set[Subset] = set(self._subsets)
+        self._subset_set: Set[Subset] = set(self._subsets)
         self._order: List[str] = [spec.shard_id for spec in shard_map.shards]
         self._handles: Dict[str, _ShardHandle] = {}
         self._active: Dict[str, int] = {}
@@ -1036,7 +951,6 @@ class ShardCoordinator:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self._pool_size = int(pool_size)
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._partition_cache: Dict[Subset, Optional[List[Subset]]] = {}
         # Commit barrier for live rebalancing: while set, new fan-outs
         # wait (bounded by the coordinator timeout) instead of racing a
         # topology flip.  The supervisor that drives rebalances attaches
@@ -1375,188 +1289,15 @@ class ShardCoordinator:
             f"({first}); rejoin it and retry the query"
         ) from first
 
-    # -- the unified dispatch surface ----------------------------------
-    def execute(self, request: QueryRequest) -> QueryResponse:
-        """Answer one typed protocol request by exact scatter-gather."""
-        handler = self._HANDLERS.get(request.kind)
-        if handler is None:
-            raise ProtocolError(
-                "unknown_kind",
-                f"unknown request kind {request.kind!r}; this engine answers "
-                f"{sorted(self._HANDLERS)}",
-            )
-        return QueryResponse(kind=request.kind, result=handler(self, request))
+    # -- the query core's hooks: frozen catalog, scatter as the gather --
+    def _catalog(self) -> Tuple[Subset, ...]:
+        return self._subsets
 
-    # -- reduction helpers ---------------------------------------------
-    def _missing(self, key: Subset) -> MissingSketchError:
-        return MissingSketchError(
-            f"subset {key} was not sketched; available subsets: "
-            f"{sorted(self._subsets)}"
-        )
+    def _sketched(self, subset: Subset) -> bool:
+        return subset in self._subset_set
 
-    def _estimates(
-        self, key: Subset, values: Sequence[Tuple[int, ...]], delta: float = 0.05
-    ) -> List[QueryEstimate]:
-        """Global Algorithm 2 estimates from merged per-shard bit sums."""
-        if key not in self._catalog:
-            raise self._missing(key)
-        partials = self._scatter(
-            ShardPartialRequest.build("bit_sums", [key], [(value,) for value in values])
-        )
-        sums, num_users = merge_bit_sum_partials(partials, len(values))
-        return [
-            self.estimator.estimate_from_counts(bit_sum, num_users, delta=delta)
-            for bit_sum in sums
-        ]
-
-    def _weight_counts(
-        self,
-        subsets: Sequence[Subset],
-        groups: Sequence[Tuple[Tuple[int, ...], ...]],
-    ) -> Tuple[np.ndarray, int]:
-        """Merged integer weight histograms over the aligned users of
-        ``subsets``; raises the single-store no-common-user ``ValueError``."""
-        keys = [tuple(s) for s in subsets]
-        partials = self._scatter(
-            ShardPartialRequest.build("weight_counts", keys, groups)
-        )
-        counts, num_users = merge_weight_count_partials(
-            partials, len(groups), len(keys)
-        )
-        if num_users == 0:
-            raise ValueError(f"no user published sketches for all of {keys}")
-        return counts, num_users
-
-    def _require_partition(self, target: Subset) -> List[Subset]:
-        # Unlocked memo: the catalog is frozen at construction, so the
-        # check-then-set race between concurrent front-end dispatches
-        # only recomputes the same deterministic partition.
-        if target not in self._partition_cache:
-            self._partition_cache[target] = search_exact_cover(target, self._subsets)
-        partition = self._partition_cache[target]
-        if partition is None:
-            raise MissingSketchError(
-                f"subset {target} is neither sketched nor a disjoint union of "
-                f"sketched subsets; available: {sorted(self._subsets)}"
-            )
-        return partition
-
-    # -- request handlers ----------------------------------------------
-    def _exec_estimate_many(
-        self, request: EstimateManyRequest
-    ) -> List[QueryEstimate]:
-        return self._estimates(request.subset, list(request.values))
-
-    def _exec_marginal(self, request: MarginalRequest) -> np.ndarray:
-        key = request.subset
-        width = len(key)
-        if width > 12:
-            raise ValueError(
-                f"a marginal over 2**{width} values is not sensible; "
-                "query specific values instead"
-            )
-        candidates = [int_to_bits(v, width) for v in range(1 << width)]
-        estimates = self._estimates(key, candidates)
-        return np.asarray([e.fraction for e in estimates])
-
-    def _exec_fraction(self, request: FractionRequest) -> float:
-        key, value = request.subset, request.value
-        if key in self._catalog:
-            return self._estimates(key, [value])[0].fraction
-        partition = self._require_partition(key)
-        values = QueryEngine._project_value(key, value, partition)
-        counts, num_users = self._weight_counts(partition, [tuple(values)])
-        combined = combine_from_weight_counts(
-            counts[0], num_users, self.estimator.params.p
-        )
-        return combined.clamped_fraction
-
-    def _exec_counts_block(self, request: CountsBlockRequest) -> List[float]:
-        key = request.subset
-        value_ts = list(request.values)
-        if key in self._catalog:
-            return [estimate.count for estimate in self._estimates(key, value_ts)]
-        if not value_ts:
-            return []
-        partition = self._require_partition(key)
-        # projections[j] = value j projected onto the partition pieces;
-        # the pieces travel in the partial request itself, so workers
-        # never re-derive the partition (and cannot disagree about it
-        # when their local subset inventories differ).
-        projections = [
-            tuple(QueryEngine._project_value(key, value_t, partition))
-            for value_t in value_ts
-        ]
-        counts, num_users = self._weight_counts(partition, projections)
-        p = self.estimator.params.p
-        return [
-            combine_from_weight_counts(counts[j], num_users, p).clamped_fraction
-            * num_users
-            for j in range(len(value_ts))
-        ]
-
-    def _exec_any_of(self, request: AnyOfRequest) -> float:
-        if not request.queries:
-            raise ValueError("need at least one conjunction")
-        subsets = [subset for subset, _value in request.queries]
-        for subset in subsets:
-            if subset not in self._catalog:
-                raise MissingSketchError(
-                    f"subset {subset} was not sketched; disjunctions need "
-                    "each component's subset published directly"
-                )
-        group = tuple(value for _subset, value in request.queries)
-        counts, num_users = self._weight_counts(subsets, [group])
-        combined = combine_from_weight_counts(
-            counts[0], num_users, self.estimator.params.p
-        )
-        # Matches disjunction_fraction_from_bits(..., clamp=True).
-        fraction = 1.0 - combined.none_fraction
-        return min(1.0, max(0.0, fraction))
-
-    def _check_positions(self, positions: Sequence[int]) -> List[Subset]:
-        subsets = [(int(pos),) for pos in positions]
-        for subset in subsets:
-            if subset not in self._catalog:
-                raise MissingSketchError(
-                    f"bit {subset[0]} was not sketched individually; "
-                    "use a per-bit publishing policy"
-                )
-        return subsets
-
-    def _exec_bit_matrix(self, request: BitMatrixRequest) -> np.ndarray:
-        subsets = self._check_positions(request.positions)
-        target_t = (int(request.target),)
-        keys = [tuple(s) for s in subsets]
-        partials = self._scatter(
-            ShardPartialRequest.build(
-                "matrix_rows", keys, [tuple(target_t for _ in keys)]
-            )
-        )
-        matrix = merge_matrix_partials(partials, len(keys))
-        if matrix is None:
-            raise ValueError(f"no user published sketches for all of {keys}")
-        return matrix
-
-    def _exec_exactly_l(self, request: ExactlyLRequest) -> float:
-        subsets = self._check_positions(request.positions)
-        k = len(subsets)
-        counts, num_users = self._weight_counts(
-            subsets, [tuple((1,) for _ in subsets)]
-        )
-        # Gathering precedes the l-range check, matching the single-store
-        # engine (which builds the bit matrix first).
-        if not 0 <= request.l <= k:
-            raise ValueError(f"l must be in [0, {k}], got {request.l}")
-        combined = combine_from_weight_counts(
-            counts[0], num_users, self.estimator.params.p
-        )
-        return float(combined.weight_distribution[request.l])
-
-    def _exec_evaluate_plan(self, request: EvaluatePlanRequest) -> float:
-        return evaluate_plan(
-            request.to_plan(), self.count, block_count_fn=self.counts_block
-        )
+    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+        return self._scatter(partial)
 
     # -- admin kinds (live rebalancing) --------------------------------
     def _require_executor(self):
@@ -1587,65 +1328,13 @@ class ShardCoordinator:
             return None
         return executor.events_summary()
 
-    #: kind -> handler; mirrors QueryEngine._HANDLERS key for key, so
-    #: unknown-kind errors render identically too.
+    #: The core's family table plus the admin kinds live rebalancing adds.
     _HANDLERS = {
-        CountsBlockRequest.kind: _exec_counts_block,
-        EstimateManyRequest.kind: _exec_estimate_many,
-        MarginalRequest.kind: _exec_marginal,
-        FractionRequest.kind: _exec_fraction,
-        AnyOfRequest.kind: _exec_any_of,
-        ExactlyLRequest.kind: _exec_exactly_l,
-        BitMatrixRequest.kind: _exec_bit_matrix,
-        EvaluatePlanRequest.kind: _exec_evaluate_plan,
+        **QueryCore._HANDLERS,
         RebalanceSplitRequest.kind: _exec_rebalance_split,
         RebalanceMergeRequest.kind: _exec_rebalance_merge,
         RebalanceStatusRequest.kind: _exec_rebalance_status,
     }
-
-    # -- thin public wrappers (same convenience surface as QueryEngine) -
-    def estimate(
-        self, subset: Sequence[int], value: Sequence[int]
-    ) -> QueryEstimate:
-        return self.estimate_many(subset, [value])[0]
-
-    def estimate_many(
-        self, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> List[QueryEstimate]:
-        return list(self.execute(EstimateManyRequest.build(subset, values)).result)
-
-    def marginal(self, subset: Sequence[int]) -> np.ndarray:
-        return np.asarray(self.execute(MarginalRequest.build(subset)).result)
-
-    def fraction(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        return self.execute(FractionRequest.build(subset, value)).result
-
-    def count(self, subset: Sequence[int], value: Sequence[int]) -> float:
-        return self.counts_block(subset, [value])[0]
-
-    def counts_block(
-        self, subset: Sequence[int], values: Sequence[Tuple[int, ...]]
-    ) -> List[float]:
-        return list(self.execute(CountsBlockRequest.build(subset, values)).result)
-
-    def conjunction(self, query: Conjunction) -> float:
-        return self.fraction(query.subset, query.value)
-
-    def any_of(self, queries: Sequence[Conjunction]) -> float:
-        if not queries:
-            raise ValueError("need at least one conjunction")
-        return self.execute(
-            AnyOfRequest.build([(q.subset, q.value) for q in queries])
-        ).result
-
-    def bit_matrix(self, positions: Sequence[int], target: int = 1) -> np.ndarray:
-        return self.execute(BitMatrixRequest.build(positions, target)).result
-
-    def exactly_l(self, positions: Sequence[int], l: int) -> float:
-        return self.execute(ExactlyLRequest.build(positions, l)).result
-
-    def evaluate(self, plan: LinearPlan) -> float:
-        return self.execute(EvaluatePlanRequest.from_plan(plan)).result
 
 
 # ----------------------------------------------------------------------

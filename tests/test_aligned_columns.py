@@ -41,6 +41,7 @@ from repro.server import (
     publish_database,
 )
 from repro.server.engine import store_content_hash
+from repro.server.query_core import QueryCore, project_value
 from repro.server.serialization import dumps_store, loads_store
 
 from .conftest import GLOBAL_KEY
@@ -250,7 +251,7 @@ class TestMultiSubsetParity:
         partition = engine._find_partition(target)
         assert partition == [(0, 1), (2,)]
         for value in values:
-            projections = QueryEngine._project_value(target, value, partition)
+            projections = project_value(target, value, partition)
             assert engine.fraction(target, value) == object_fraction(
                 store, estimator, partition, projections
             )
@@ -325,13 +326,13 @@ class TestPartitionMemo:
         store = published_store(database, sketcher, seed=73)
         engine = QueryEngine(database.schema, store, SketchEstimator(params, prf))
         searches = {"n": 0}
-        original = QueryEngine._search_partition
+        original = QueryCore._search_partition
 
         def counted(self, target):
             searches["n"] += 1
             return original(self, target)
 
-        monkeypatch.setattr(QueryEngine, "_search_partition", counted)
+        monkeypatch.setattr(QueryCore, "_search_partition", counted)
         engine.fraction((0, 1, 2), (1, 0, 1))
         engine.count((0, 1, 2), (0, 0, 0))
         engine.counts_block((0, 1, 2), [(1, 1, 1)])

@@ -27,6 +27,15 @@ from repro.data.serialization import (
     loads_database,
     save_database,
 )
+from repro.protocol import (
+    CountsBlockRequest,
+    QueryResponse,
+    decode_result,
+    dumps_request,
+    dumps_response,
+    loads_request,
+    loads_response,
+)
 from repro.server import (
     QueryEngine,
     SketchEvaluationCache,
@@ -40,13 +49,6 @@ from repro.server import (
 )
 from repro.server.collector import SketchColumn
 from repro.server.engine import store_content_hash
-from repro.server.serialization import (
-    dumps_block_request,
-    dumps_block_response,
-    handle_block_request,
-    loads_block_request,
-    loads_block_response,
-)
 
 from .conftest import GLOBAL_KEY
 
@@ -643,52 +645,59 @@ class TestPersistentEvaluationCache:
 
 
 class TestBlockRequestWire:
+    """Batched block requests travel as protocol v1 ``counts_block``."""
+
     def test_request_round_trip(self):
-        payload = dumps_block_request((0, 1), [(0, 0), (1, 1)])
-        subset, values = loads_block_request(payload)
-        assert subset == (0, 1)
-        assert values == [(0, 0), (1, 1)]
+        payload = dumps_request(CountsBlockRequest.build((0, 1), [(0, 0), (1, 1)]))
+        request = loads_request(payload)
+        assert request.subset == (0, 1)
+        assert request.values == ((0, 0), (1, 1))
 
     def test_response_round_trip(self):
-        payload = dumps_block_response((0, 1), [(0, 0), (1, 1)], [4.0, 9.5])
-        assert loads_block_response(payload) == [4.0, 9.5]
+        payload = dumps_response(QueryResponse("counts_block", [4.0, 9.5]))
+        response = loads_response(payload)
+        assert decode_result(response.kind, response.result) == [4.0, 9.5]
 
     def test_handle_block_request_matches_counts_block(self):
         params, prf, database, store = make_store()
         engine = QueryEngine(database.schema, store, SketchEstimator(params, prf))
         values = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        request = dumps_block_request((0, 1), values)
-        response = handle_block_request(engine, request)
-        assert loads_block_response(response) == engine.counts_block((0, 1), values)
+        request = loads_request(
+            dumps_request(CountsBlockRequest.build((0, 1), values))
+        )
+        response = loads_response(dumps_response(engine.execute(request)))
+        assert decode_result(response.kind, response.result) == engine.counts_block(
+            (0, 1), values
+        )
 
     def test_malformed_messages_rejected(self):
         with pytest.raises(ValueError, match="malformed wire message"):
-            loads_block_request("{not json")
-        with pytest.raises(ValueError, match="expected a repro-block-request"):
-            loads_block_request(json.dumps({"format": "nope", "version": 1}))
+            loads_request("{not json")
+        with pytest.raises(ValueError, match="expected a repro-query-request"):
+            loads_request(json.dumps({"format": "nope", "version": 1}))
         with pytest.raises(ValueError, match="version"):
-            loads_block_request(
-                json.dumps({"format": "repro-block-request", "version": 7})
-            )
+            loads_request(json.dumps({"format": "repro-query-request", "version": 7}))
         with pytest.raises(ValueError, match="width"):
-            loads_block_request(
+            loads_request(
                 json.dumps(
                     {
-                        "format": "repro-block-request",
+                        "format": "repro-query-request",
                         "version": 1,
+                        "kind": "counts_block",
                         "subset": [0, 1],
                         "values": [[1]],
                     }
                 )
             )
-        with pytest.raises(ValueError, match="at least one value"):
-            dumps_block_request((0,), [])
-        with pytest.raises(ValueError, match="expected a repro-block-response"):
-            loads_block_response(json.dumps({"format": "nope", "version": 1}))
+        # v1 accepts an empty block: it round-trips and answers no counts.
+        empty = CountsBlockRequest.build((0,), [])
+        assert loads_request(dumps_request(empty)) == empty
+        with pytest.raises(ValueError, match="expected a repro-query-response"):
+            loads_response(json.dumps({"format": "nope", "version": 1}))
 
     def test_request_validates_widths(self):
         with pytest.raises(ValueError, match="width"):
-            dumps_block_request((0, 1), [(1,)])
+            CountsBlockRequest.build((0, 1), [(1,)])
 
 
 class TestStreamingColumnIngestion:

@@ -1,4 +1,4 @@
-"""The typed query protocol: round trips, error envelopes, legacy shims.
+"""The typed query protocol: round trips, error envelopes, the server perimeter.
 
 Three layers of guarantees:
 
@@ -7,13 +7,14 @@ Three layers of guarantees:
 * every failure crosses the wire as the structured error envelope —
   code + message, never a raw traceback — and maps back to the exception
   type a local caller would have caught;
-* the legacy block request/response of ``repro.server.serialization``
-  stay byte-compatible with their pre-protocol output, and
-  ``handle_block_request`` never lets an exception escape to the
-  transport caller.
+* a ``counts_block`` request keeps its byte-stable v1 payload, and the
+  server perimeter answers every line it reads — malformed, foreign,
+  wrongly versioned or unanswerable — with a reply envelope, never an
+  exception on the transport.
 """
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from repro.protocol import (
     RemoteQueryError,
     REQUEST_KINDS,
     REQUEST_TAG,
+    decode_result,
     dumps_error,
+    dumps_hello,
     dumps_request,
     dumps_response,
     dumps_wire_message,
@@ -51,17 +54,19 @@ from repro.protocol import (
     loads_error,
     loads_request,
     loads_response,
+    loads_welcome,
     loads_wire_message,
     parse_reply,
 )
 from repro.protocol.messages import QueryResponse
 from repro.queries.ast import Conjunction, Literal
 from repro.queries.conjunctive import LinearPlan, PlanTerm
-from repro.server import MissingSketchError, QueryEngine, publish_database
-from repro.server.serialization import (
-    dumps_block_request,
-    handle_block_request,
-    loads_block_response,
+from repro.server import (
+    MissingSketchError,
+    QueryEngine,
+    RemoteServer,
+    publish_database,
+    serve_in_thread,
 )
 
 from .conftest import GLOBAL_KEY
@@ -340,7 +345,7 @@ class TestEnvelope:
 
 
 # ----------------------------------------------------------------------
-# Legacy block-request shims
+# What the retired block-request shims promised, kept by protocol v1
 # ----------------------------------------------------------------------
 def make_engine(num_users: int = 120, seed: int = 3):
     params = PrivacyParams(p=0.3)
@@ -353,49 +358,73 @@ def make_engine(num_users: int = 120, seed: int = 3):
     return QueryEngine(database.schema, store, SketchEstimator(params, prf))
 
 
+def served_replies(engine, lines):
+    """Send raw request lines to a live server; return its reply lines."""
+    server = RemoteServer(engine, {"alice": "sesame"}, pool_size=0)
+    with serve_in_thread(server) as (host, port):
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+            stream.write(dumps_hello("sesame") + "\n")
+            stream.flush()
+            assert loads_welcome(stream.readline().rstrip("\n")) == "alice"
+            replies = []
+            for line in lines:
+                stream.write(line + "\n")
+                stream.flush()
+                replies.append(stream.readline().rstrip("\n"))
+            stream.close()
+    return replies
+
+
 class TestLegacyShims:
+    """The block-request shims are gone; ``counts_block`` over protocol v1
+    keeps each guarantee they gave: stable bytes, and a reply envelope
+    (never a transport exception) for every line the server reads."""
+
     def test_block_request_bytes_are_unchanged(self):
-        """The shim emits exactly the historical payload, byte for byte."""
-        payload = dumps_block_request((0, 1), [(0, 0), (1, 1)])
+        """The v1 counts_block payload is byte-stable."""
+        payload = dumps_request(CountsBlockRequest.build((0, 1), [(0, 0), (1, 1)]))
         assert payload == json.dumps(
             {
-                "format": "repro-block-request",
-                "version": 1,
+                "format": REQUEST_TAG,
+                "version": PROTOCOL_VERSION,
+                "kind": "counts_block",
                 "subset": [0, 1],
                 "values": [[0, 0], [1, 1]],
             }
         )
 
     def test_handle_returns_error_envelope_for_malformed_payload(self):
-        engine = make_engine()
-        reply = handle_block_request(engine, "{truncated")
+        (reply,) = served_replies(make_engine(), ["{truncated"])
         error = loads_error(reply)
         assert error.code == "malformed_request"
         assert "Traceback" not in error.message
 
     def test_handle_returns_error_envelope_for_unknown_format(self):
-        engine = make_engine()
-        reply = handle_block_request(
-            engine, json.dumps({"format": "mystery", "version": 1})
+        (reply,) = served_replies(
+            make_engine(), [json.dumps({"format": "mystery", "version": 1})]
         )
         assert loads_error(reply).code == "malformed_request"
 
     def test_handle_returns_error_envelope_for_wrong_version(self):
-        engine = make_engine()
-        reply = handle_block_request(
-            engine, json.dumps({"format": "repro-block-request", "version": 9})
+        (reply,) = served_replies(
+            make_engine(), [json.dumps({"format": REQUEST_TAG, "version": 9})]
         )
         assert loads_error(reply).code == "unsupported_version"
 
     def test_handle_returns_error_envelope_for_missing_sketch(self):
-        engine = make_engine()
-        request = dumps_block_request((5, 7), [(1, 1)])
-        error = loads_error(handle_block_request(engine, request))
+        request = dumps_request(CountsBlockRequest.build((5, 7), [(1, 1)]))
+        (reply,) = served_replies(make_engine(), [request])
+        error = loads_error(reply)
         assert error.code == "missing_sketch"
         assert "(5, 7)" in error.message
 
     def test_handle_success_path_unchanged(self):
         engine = make_engine()
         values = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        reply = handle_block_request(engine, dumps_block_request((0, 1), values))
-        assert loads_block_response(reply) == engine.counts_block((0, 1), values)
+        request = dumps_request(CountsBlockRequest.build((0, 1), values))
+        (reply,) = served_replies(engine, [request])
+        response = loads_response(reply)
+        assert decode_result(response.kind, response.result) == engine.counts_block(
+            (0, 1), values
+        )
