@@ -794,18 +794,16 @@ class ShardSnapshotRequest(QueryRequest):
         return ()
 
 
-#: Stages of a worker-side rebalance mutation.  ``prepare`` builds the
-#: post-handoff engine off to the side (a read: the worker keeps serving
-#: its current range), ``commit`` installs the staged engine (a pointer
-#: swap, so the coordinator's commit barrier holds for microseconds, not
-#: for a store rebuild), ``all`` does both in one call.
-REBALANCE_STAGES = ("prepare", "commit", "all")
-
-
 def _valid_stage(stage: str) -> str:
-    if stage not in REBALANCE_STAGES:
-        raise ValueError(
-            f"unknown rebalance stage {stage!r}; choose from {list(REBALANCE_STAGES)}"
+    """A worker-side rebalance mutation runs in two stages: ``prepare``
+    builds the post-handoff engine off to the side (a read: the worker
+    keeps serving its current range), ``commit`` installs the staged
+    engine (a pointer swap, so the coordinator's commit barrier holds
+    for microseconds, not for a store rebuild)."""
+    if stage not in ("prepare", "commit"):
+        raise ProtocolError(
+            "malformed_request",
+            f"unknown rebalance stage {stage!r}; choose from ['prepare', 'commit']",
         )
     return stage
 
@@ -833,8 +831,8 @@ class ShardAdoptRequest(QueryRequest):
         handoff_path: str,
         save_path: str,
         *,
+        stage: str,
         warm_path: Optional[str] = None,
-        stage: str = "all",
     ) -> "ShardAdoptRequest":
         return cls(
             handoff_path=_nonempty_str(handoff_path, "handoff_path"),
@@ -860,7 +858,7 @@ class ShardAdoptRequest(QueryRequest):
             _require(body, "handoff_path"),
             _require(body, "save_path"),
             warm_path=body.get("warm_path"),
-            stage=body.get("stage", "all"),
+            stage=_require(body, "stage"),
         )
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
@@ -883,7 +881,7 @@ class ShardDropRequest(QueryRequest):
     kind: ClassVar[str] = "shard_drop"
 
     @classmethod
-    def build(cls, boundary: str, *, stage: str = "all") -> "ShardDropRequest":
+    def build(cls, boundary: str, *, stage: str) -> "ShardDropRequest":
         return cls(
             boundary=_nonempty_str(boundary, "drop boundary"),
             stage=_valid_stage(stage),
@@ -894,9 +892,7 @@ class ShardDropRequest(QueryRequest):
 
     @classmethod
     def _from_body(cls, body: dict) -> "ShardDropRequest":
-        return cls.build(
-            _require(body, "boundary"), stage=body.get("stage", "all")
-        )
+        return cls.build(_require(body, "boundary"), stage=_require(body, "stage"))
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
         return ()

@@ -47,13 +47,14 @@ import io
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -133,23 +134,24 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _durable_replace_bytes(path: str, payload: bytes) -> None:
-    """Crash-durable atomic file write: temp + flush + fsync + rename.
+def _durable_write(path: str, write: Callable[[str], object]) -> None:
+    """Crash-durable atomic file write: ``write(temp)`` + fsync + rename.
 
     ``os.replace`` alone guarantees readers never see a partial file,
     but not that the *contents* reached disk before the rename — a
     power loss could leave an atomically-renamed zero-length
     "checkpoint".  Fsyncing the temp file first (and the directory
     after, where cheap) closes that hole: after this returns, either
-    the old file or the complete new one survives a crash.
+    the old file or the complete new one survives a crash.  ``write``
+    fills the temp file at the path it is given.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
+        write(tmp_path)
+        with open(tmp_path, "rb") as handle:
             os.fsync(handle.fileno())
         if _write_crash_hook is not None:
             _write_crash_hook(path)
@@ -159,6 +161,35 @@ def _durable_replace_bytes(path: str, payload: bytes) -> None:
             os.unlink(tmp_path)
         raise
     _fsync_directory(directory)
+
+
+def _durable_replace_bytes(path: str, payload: bytes) -> None:
+    """:func:`_durable_write` of an in-memory payload."""
+    _durable_write(path, lambda tmp_path: pathlib.Path(tmp_path).write_bytes(payload))
+
+
+def _durable_save_store(store, path: str, prf) -> None:
+    """:func:`_durable_write` of a columnar store file.
+
+    Rebalance store files must appear all-or-nothing *and* be on the
+    platter before the checkpoint that references them is written — an
+    "acked" record whose files evaporated in a crash could not roll
+    forward.
+    """
+    _durable_write(
+        path,
+        lambda tmp_path: save_store(
+            store, tmp_path, include_iterations=True, format="columnar", prf=prf
+        ),
+    )
+
+
+def _unlink_quietly(paths) -> None:
+    """Delete handoff files; one already gone is not an error."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
 
 #: Bearer identity the coordinator presents on shard-internal
 #: connections.  Workers bind to loopback and serve partial statistics
@@ -192,6 +223,27 @@ class ShardSpec:
     num_users: int
     first_user: str  # "" for an empty shard
     last_user: str
+
+
+def _spec_from_payload(entry: dict) -> ShardSpec:
+    """The inverse of ``dataclasses.asdict`` for a checkpointed spec."""
+    return ShardSpec(
+        shard_id=str(entry["shard_id"]),
+        store_path=str(entry["store_path"]),
+        num_users=int(entry["num_users"]),
+        first_user=str(entry["first_user"]),
+        last_user=str(entry["last_user"]),
+    )
+
+
+def _range_summary(columns: dict) -> dict:
+    """The user-range fields of a :class:`ShardSpec` for a column set."""
+    universe = user_universe(columns)
+    return {
+        "num_users": len(universe),
+        "first_user": universe[0] if universe else "",
+        "last_user": universe[-1] if universe else "",
+    }
 
 
 @dataclass(frozen=True)
@@ -241,16 +293,7 @@ class ShardMap:
             "format": SHARD_MAP_FORMAT,
             "version": SHARD_MAP_VERSION,
             "subsets": [list(subset) for subset in self.subsets],
-            "shards": [
-                {
-                    "shard_id": spec.shard_id,
-                    "store_path": spec.store_path,
-                    "num_users": spec.num_users,
-                    "first_user": spec.first_user,
-                    "last_user": spec.last_user,
-                }
-                for spec in self.shards
-            ],
+            "shards": [asdict(spec) for spec in self.shards],
         }
         if self.cache_state is not None:
             payload["cache_state"] = self.cache_state
@@ -288,16 +331,7 @@ class ShardMap:
             )
         try:
             subsets = tuple(tuple(int(i) for i in s) for s in data["subsets"])
-            shards = tuple(
-                ShardSpec(
-                    shard_id=str(entry["shard_id"]),
-                    store_path=str(entry["store_path"]),
-                    num_users=int(entry["num_users"]),
-                    first_user=str(entry["first_user"]),
-                    last_user=str(entry["last_user"]),
-                )
-                for entry in data["shards"]
-            )
+            shards = tuple(_spec_from_payload(entry) for entry in data["shards"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed shard-map checkpoint {path}: {exc}") from exc
         cache_state = data.get("cache_state")
@@ -319,56 +353,31 @@ class ShardMap:
             rebalance=rebalance,
         )
 
+    def roll_forward(self) -> Tuple["ShardMap", List[str]]:
+        """Commit the in-flight rebalance record: the new map, and the
+        files it leaves unreferenced.
 
-def _spec_to_payload(spec: ShardSpec) -> dict:
-    return {
-        "shard_id": spec.shard_id,
-        "store_path": spec.store_path,
-        "num_users": spec.num_users,
-        "first_user": spec.first_user,
-        "last_user": spec.last_user,
-    }
-
-
-def _spec_from_payload(entry: dict) -> ShardSpec:
-    return ShardSpec(
-        shard_id=str(entry["shard_id"]),
-        store_path=str(entry["store_path"]),
-        num_users=int(entry["num_users"]),
-        first_user=str(entry["first_user"]),
-        last_user=str(entry["last_user"]),
-    )
+        The pending specs become the committed shards (the record is
+        cleared); the files to delete are the superseded stores plus
+        every handoff file the new map does not serve from.  A live
+        commit and roll-forward recovery both resolve through here, so
+        they leave the same files behind.
+        """
+        record = self.rebalance
+        shards = tuple(_spec_from_payload(entry) for entry in record["pending_shards"])
+        referenced = {spec.store_path for spec in shards}
+        unreferenced = [
+            path
+            for path in list(record.get("obsolete_paths", []))
+            + list(record.get("pending_paths", []))
+            if path not in referenced
+        ]
+        return ShardMap(self.subsets, shards, cache_state=self.cache_state), unreferenced
 
 
 # ----------------------------------------------------------------------
 # Handoff files: durable store snapshots + warm-cache sidecars
 # ----------------------------------------------------------------------
-def _durable_save_store(store, path: str, prf) -> None:
-    """Write a columnar store file atomically and crash-durably.
-
-    ``save_store`` writes in place; rebalance store files must instead
-    appear all-or-nothing *and* be on the platter before the checkpoint
-    that references them is written — an "acked" record whose files
-    evaporated in a crash could not roll forward.
-    """
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        save_store(store, tmp_path, include_iterations=True, format="columnar", prf=prf)
-        with open(tmp_path, "rb") as handle:
-            os.fsync(handle.fileno())
-        if _write_crash_hook is not None:
-            _write_crash_hook(path)
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_path)
-        raise
-    _fsync_directory(directory)
-
-
 def _save_warm_sidecar(path: str, entries: Dict[tuple, np.ndarray]) -> int:
     """Persist carved warm-cache entries next to a handoff store.
 
@@ -572,7 +581,6 @@ class ShardWorkerEngine:
         """
         prf = self.estimator.prf
         columns = self.engine.store.to_columns()
-        universe = user_universe(columns)
         if request.op == "export":
             _durable_save_store(self.engine.store, request.right_path, prf)
             warm = self._warm_entries(columns, keep=None)
@@ -581,13 +589,9 @@ class ShardWorkerEngine:
                 if request.warm_path
                 else 0
             )
-            return {
-                "num_users": len(universe),
-                "first_user": universe[0] if universe else "",
-                "last_user": universe[-1] if universe else "",
-                "warm_entries": warm_count,
-            }
+            return dict(_range_summary(columns), warm_entries=warm_count)
         # carve
+        universe = user_universe(columns)
         if len(universe) < 2:
             raise ValueError(
                 f"cannot split a shard holding {len(universe)} user(s); "
@@ -610,8 +614,7 @@ class ShardWorkerEngine:
         warm_count = (
             _save_warm_sidecar(request.warm_path, warm) if request.warm_path else 0
         )
-        left_universe = user_universe(left_columns)
-        right_universe = user_universe(right_columns)
+        left = _range_summary(left_columns)
         # Stage the donor's own shed while everything is already in
         # hand: the later ``shard_drop prepare`` becomes a no-op lookup
         # instead of a second full column rebuild on the serving path.
@@ -621,25 +624,12 @@ class ShardWorkerEngine:
             boundary,
             left_store,
             keep_carry,
-            {
-                "num_users": len(left_universe),
-                "first_user": left_universe[0],
-                "last_user": left_universe[-1],
-                "carried_entries": len(keep_carry),
-            },
+            dict(left, carried_entries=len(keep_carry)),
         )
         return {
             "boundary": boundary,
-            "left": {
-                "num_users": len(left_universe),
-                "first_user": left_universe[0],
-                "last_user": left_universe[-1],
-            },
-            "right": {
-                "num_users": len(right_universe),
-                "first_user": right_universe[0],
-                "last_user": right_universe[-1],
-            },
+            "left": left,
+            "right": _range_summary(right_columns),
             "warm_entries": warm_count,
         }
 
@@ -661,12 +651,7 @@ class ShardWorkerEngine:
             cache_dir=self._cache_dir,
             cache_budget_bytes=self._cache_budget_bytes,
         )
-        for (subset, value), bits in carry.items():
-            if not store.has_subset(subset):
-                continue
-            if bits.size != store.num_users(subset):
-                continue
-            engine.cache.seed_entry(subset, value, bits)
+        _seed_warm(engine, carry)
         self.engine = engine
         self.cache = engine.cache
 
@@ -724,17 +709,8 @@ class ShardWorkerEngine:
             # handoff column, so the sidecar entry carries whole.
             if subset not in own_columns and (subset, value) not in carry:
                 carry[(subset, value)] = extra
-        universe = user_universe(merged)
-        stats = {
-            "num_users": len(universe),
-            "first_user": universe[0] if universe else "",
-            "last_user": universe[-1] if universe else "",
-            "carried_entries": len(carry),
-        }
-        if request.stage == "prepare":
-            self._staged = ("adopt", request.save_path, merged_store, carry, stats)
-            return stats
-        self._install_store(merged_store, carry)
+        stats = dict(_range_summary(merged), carried_entries=len(carry))
+        self._staged = ("adopt", request.save_path, merged_store, carry, stats)
         return stats
 
     def _drop(self, request: ShardDropRequest) -> dict:
@@ -746,11 +722,7 @@ class ShardWorkerEngine:
         """
         if request.stage == "commit":
             return self._commit_staged("drop", request.boundary)
-        if (
-            request.stage == "prepare"
-            and self._staged is not None
-            and self._staged[:2] == ("drop", request.boundary)
-        ):
+        if self._staged is not None and self._staged[:2] == ("drop", request.boundary):
             # The carve snapshot already staged this shed.
             return self._staged[4]
         columns = self.engine.store.to_columns()
@@ -764,26 +736,27 @@ class ShardWorkerEngine:
                 f"drop boundary {request.boundary!r} would shed every user; "
                 "a donor must keep a non-empty range"
             )
-        keep = self._range_masks(columns, request.boundary)
-        carry: Dict[tuple, np.ndarray] = {}
-        for (subset, value), bits in self.cache.entries_snapshot().items():
-            mask = keep.get(subset)
-            if mask is None or not mask.any():
-                continue
-            carry[(subset, value)] = np.ascontiguousarray(bits[mask])
-        left_store = SketchStore.from_columns(left_columns)
-        universe = user_universe(left_columns)
-        stats = {
-            "num_users": len(universe),
-            "first_user": universe[0],
-            "last_user": universe[-1],
-            "carried_entries": len(carry),
-        }
-        if request.stage == "prepare":
-            self._staged = ("drop", request.boundary, left_store, carry, stats)
-            return stats
-        self._install_store(left_store, carry)
+        carry = self._warm_entries(
+            left_columns, keep=self._range_masks(columns, request.boundary)
+        )
+        stats = dict(_range_summary(left_columns), carried_entries=len(carry))
+        self._staged = (
+            "drop",
+            request.boundary,
+            SketchStore.from_columns(left_columns),
+            carry,
+            stats,
+        )
         return stats
+
+
+def _seed_warm(engine: QueryEngine, entries: Dict[tuple, np.ndarray]) -> None:
+    """Seed ``engine``'s cache with the carried entries that still fit
+    its store; the rest are recomputed lazily on first use."""
+    store = engine.store
+    for (subset, value), bits in entries.items():
+        if store.has_subset(subset) and bits.size == store.num_users(subset):
+            engine.cache.seed_entry(subset, value, bits)
 
 
 def run_shard_worker(config: dict) -> None:
@@ -810,10 +783,8 @@ def run_shard_worker(config: dict) -> None:
         cache_budget_bytes=config.get("cache_budget_bytes"),
     )
     warm_path = config.get("warm_path")
-    if warm_path and os.path.exists(warm_path):
-        for (subset, value), bits in _load_warm_sidecar(warm_path).items():
-            if store.has_subset(subset) and bits.size == store.num_users(subset):
-                engine.cache.seed_entry(subset, value, bits)
+    if warm_path:
+        _seed_warm(engine, _load_warm_sidecar(warm_path))
     worker = ShardWorkerEngine(
         engine,
         cache_dir=config.get("cache_dir"),
@@ -902,9 +873,7 @@ class ShardCoordinator(QueryCore):
     :meth:`leave` with request draining (in-flight fan-outs finish
     first).  A scatter hitting a dead connection retries once on a
     fresh connection — a worker restarted in place answers, a dead one
-    fails fast into :class:`ShardUnavailableError`.  The shard map is
-    checkpointed atomically on construction when ``checkpoint_path`` is
-    given.
+    fails fast into :class:`ShardUnavailableError`.
     """
 
     def __init__(
@@ -912,7 +881,6 @@ class ShardCoordinator(QueryCore):
         shard_map: ShardMap,
         estimator: SketchEstimator,
         *,
-        checkpoint_path: str | os.PathLike | None = None,
         timeout: float = 30.0,
         pool_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
@@ -957,20 +925,11 @@ class ShardCoordinator(QueryCore):
         # itself here; a bare coordinator refuses the admin kinds.
         self._rebalancing = False
         self.rebalance_executor = None
-        self.checkpoint_path = (
-            None if checkpoint_path is None else os.fspath(checkpoint_path)
-        )
-        if self.checkpoint_path is not None:
-            shard_map.save(self.checkpoint_path)
 
     # -- membership ----------------------------------------------------
-    def join(self, shard_id: str, host: str, port: int, token: str) -> None:
-        """Admit (or re-admit) a shard worker at a live address."""
-        if shard_id not in self._order:
-            raise ValueError(
-                f"unknown shard id {shard_id!r}; the shard map lists {self._order}"
-            )
-        handle = _ShardHandle(
+    def _new_handle(self, shard_id: str, host: str, port: int, token: str) -> _ShardHandle:
+        """A connection to one worker with a fresh (closed) breaker."""
+        return _ShardHandle(
             shard_id,
             host,
             port,
@@ -982,6 +941,14 @@ class ShardCoordinator(QueryCore):
                 clock=self._breaker_clock,
             ),
         )
+
+    def join(self, shard_id: str, host: str, port: int, token: str) -> None:
+        """Admit (or re-admit) a shard worker at a live address."""
+        if shard_id not in self._order:
+            raise ValueError(
+                f"unknown shard id {shard_id!r}; the shard map lists {self._order}"
+            )
+        handle = self._new_handle(shard_id, host, port, token)
         with self._cond:
             old = self._handles.pop(shard_id, None)
             self._handles[shard_id] = handle
@@ -1115,18 +1082,7 @@ class ShardCoordinator(QueryCore):
                 old = self._handles.pop(shard_id, None)
                 if old is not None:
                     closing.append(old)
-                self._handles[shard_id] = _ShardHandle(
-                    shard_id,
-                    host,
-                    port,
-                    token,
-                    self.timeout,
-                    CircuitBreaker(
-                        failure_threshold=self._breaker_threshold,
-                        reset_timeout=self._breaker_reset,
-                        clock=self._breaker_clock,
-                    ),
-                )
+                self._handles[shard_id] = self._new_handle(shard_id, host, port, token)
             self._cond.notify_all()
         for handle in closing:
             handle.close()
@@ -1348,6 +1304,30 @@ def _preferred_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _stop(process, graceful: bool = True) -> None:
+    """Stop one worker process: SIGTERM first when ``graceful``, then
+    SIGKILL whatever is still alive."""
+    if process is None:
+        return
+    if graceful and process.is_alive():
+        process.terminate()
+        process.join(timeout=10.0)
+    if process.is_alive():
+        process.kill()
+    process.join(timeout=10.0)
+
+
+class _Handoff(NamedTuple):
+    """One rebalance op's own steps, run by :meth:`ShardedService._handoff`."""
+
+    #: The ``prepared`` checkpoint record (see :attr:`ShardMap.rebalance`).
+    record: dict
+    #: The recipient proves possession; runs before ``acked`` is written.
+    ack: Callable[[], None]
+    #: ``(shard_id, request)``: the staged-engine swap under the barrier.
+    swap: Tuple[str, QueryRequest]
+
+
 class ShardedService:
     """Supervisor: shard stores on disk, one worker process each, a
     coordinator in front.
@@ -1448,7 +1428,6 @@ class ShardedService:
         self.coordinator = ShardCoordinator(
             shard_map,
             estimator,
-            checkpoint_path=os.path.join(self.base_dir, "shard_map.json"),
             timeout=timeout,
             pool_size=pool_size,
             retry=retry,
@@ -1456,6 +1435,10 @@ class ShardedService:
             breaker_reset=breaker_reset,
         )
         self.coordinator.rebalance_executor = self
+        # The service is the checkpoint's only writer; a supervisor that
+        # dies before start() still leaves a recoverable map behind.
+        self._checkpoint_path = os.path.join(self.base_dir, "shard_map.json")
+        shard_map.save(self._checkpoint_path)
 
     @classmethod
     def from_store(
@@ -1472,14 +1455,9 @@ class ShardedService:
             save_store(
                 shard, store_path, include_iterations=True, format="columnar", prf=prf
             )
-            universe = user_universe(shard.to_columns())
             specs.append(
                 ShardSpec(
-                    shard_id=f"shard-{index}",
-                    store_path=store_path,
-                    num_users=len(universe),
-                    first_user=universe[0] if universe else "",
-                    last_user=universe[-1] if universe else "",
+                    f"shard-{index}", store_path, **_range_summary(shard.to_columns())
                 )
             )
         shard_map = ShardMap(subsets=tuple(store.subsets), shards=tuple(specs))
@@ -1516,26 +1494,11 @@ class ShardedService:
         checkpoint_path = os.path.join(base_dir, "shard_map.json")
         shard_map = ShardMap.load(checkpoint_path)
         action = None
-        cleanup: List[str] = []
         record = shard_map.rebalance
         if record is not None:
             if record.get("phase") == "acked":
                 action = "rolled_forward"
-                specs = tuple(
-                    _spec_from_payload(entry) for entry in record["pending_shards"]
-                )
-                referenced = {spec.store_path for spec in specs}
-                cleanup = [
-                    path
-                    for path in list(record.get("obsolete_paths", []))
-                    + list(record.get("pending_paths", []))
-                    if path not in referenced
-                ]
-                shard_map = ShardMap(
-                    subsets=shard_map.subsets,
-                    shards=specs,
-                    cache_state=shard_map.cache_state,
-                )
+                shard_map, cleanup = shard_map.roll_forward()
             else:
                 # "prepared" — or anything unrecognised, where rollback
                 # is the only safe default: the committed map and its
@@ -1547,9 +1510,7 @@ class ShardedService:
             # during recovery must find either the old record (recovery
             # re-runs) or the resolved map (cleanup re-runs harmlessly).
             shard_map.save(checkpoint_path)
-            for path in cleanup:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+            _unlink_quietly(cleanup)
         state = shard_map.cache_state
         if state is not None and state.get("enabled") and "cache" not in kwargs:
             kwargs["cache"] = True
@@ -1617,7 +1578,7 @@ class ShardedService:
         self.shard_map = replace(
             self.shard_map, cache_state=self._collect_cache_state()
         )
-        self.shard_map.save(os.path.join(self.base_dir, "shard_map.json"))
+        self.shard_map.save(self._checkpoint_path)
 
     # -- the watchdog ---------------------------------------------------
     def _log_event(self, kind: str, shard_id: Optional[str] = None, **detail) -> None:
@@ -1877,18 +1838,11 @@ class ShardedService:
             self._rebalance_record = None
             with contextlib.suppress(Exception):
                 self.checkpoint()
-            for path in record.get("pending_paths", ()):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+            _unlink_quietly(record.get("pending_paths", ()))
             committed = {spec.shard_id for spec in self.shard_map.shards}
             for shard_id in record.get("participants", ()):
-                if shard_id in committed:
-                    continue
-                process = self._processes.pop(shard_id, None)
-                if process is not None and process.is_alive():
-                    process.kill()
-                    process.join(timeout=10.0)
-                self._addresses.pop(shard_id, None)
+                if shard_id not in committed:
+                    self._retire(shard_id, graceful=False)
             for shard_id in mutated:
                 if shard_id not in committed:
                     continue
@@ -1904,6 +1858,87 @@ class ShardedService:
             reason=reason,
         )
 
+    def _retire(self, shard_id: str, graceful: bool = True) -> None:
+        """Stop a worker that leaves the topology and forget its state."""
+        with self._lifecycle:
+            _stop(self._processes.pop(shard_id, None), graceful)
+            self._addresses.pop(shard_id, None)
+            self._restarts.pop(shard_id, None)
+            self._gave_up.discard(shard_id)
+
+    def _handoff(
+        self, prepare: Callable[[], "_Handoff"], timeout: float, pace_s: float
+    ) -> dict:
+        """Drive one two-phase handoff; ``prepare`` is the op's first phase.
+
+        ``prepare()`` writes the handoff files and returns the op's
+        :class:`_Handoff`.  The driver checkpoints its ``prepared``
+        record, runs the op's ack and checkpoints the ``acked`` record,
+        then — inside the coordinator's commit barrier — runs the op's
+        engine swap and flips the routing map to the record's pending
+        shards, joining the new shard ids and removing the vanished
+        ones.  After the commit it checkpoints the cleared map, retires
+        removed workers, and deletes exactly the files
+        :meth:`ShardMap.roll_forward` names — the set crash recovery
+        would delete.  Each checkpoint is followed by an event, the
+        phase hook and the pace.  A failure before the commit rolls back
+        (:meth:`_abort_rebalance`).
+        """
+        if not self._rebalance_busy.acquire(blocking=False):
+            raise ValueError(
+                "a rebalance is already in progress; retry once it completes"
+            )
+        mutated: List[str] = []
+        record: Optional[dict] = None
+        try:
+            self._rebalance_abort.clear()
+            self._hook("pre_prepare")
+            handoff = prepare()
+            record = handoff.record
+            summary = {key: record[key] for key in ("op", "donor", "recipient", "boundary")}
+            self._install_record(record)
+            self._log_event("rebalance_prepared", record["donor"], **summary)
+            self._hook("post_prepare")
+            self._pace(pace_s)
+            handoff.ack()
+            record = dict(record, phase="acked")
+            self._install_record(record)
+            self._log_event("rebalance_acked", record["recipient"], op=record["op"])
+            self._hook("post_ack")
+            self._pace(pace_s)
+            new_map, unreferenced = self.shard_map.roll_forward()
+            before = [spec.shard_id for spec in self.shard_map.shards]
+            after = [spec.shard_id for spec in new_map.shards]
+            joins = {
+                shard_id: (*self._addresses[shard_id], self._token)
+                for shard_id in after
+                if shard_id not in before
+            }
+            removals = [shard_id for shard_id in before if shard_id not in after]
+            swap_shard, swap = handoff.swap
+            with self.coordinator.rebalance_barrier(timeout):
+                mutated.append(swap_shard)
+                self._worker_call(swap_shard, swap, timeout)
+                self.coordinator.apply_rebalance(new_map, joins, removals)
+                self.shard_map = new_map
+            self._rebalance_record = None
+            self.checkpoint()
+            for shard_id in removals:
+                self._retire(shard_id)
+            _unlink_quietly(unreferenced)
+            self._rebalances_completed += 1
+            self._log_event("rebalance_committed", record["donor"], **summary)
+            self._hook("post_commit")
+            return dict(summary, shards=after)
+        except BaseException as exc:
+            if record is not None and self._rebalance_record is not None:
+                self._abort_rebalance(record, str(exc), mutated)
+            raise
+        finally:
+            self._rebalance_record = None
+            self._rebalance_abort.clear()
+            self._rebalance_busy.release()
+
     def rebalance_split(
         self,
         shard_id: str,
@@ -1916,29 +1951,21 @@ class ShardedService:
         Two-phase: *prepare* (the donor carves both halves to fresh
         fsync'd store files plus a warm sidecar, and the ``prepared``
         record is checkpointed), then *commit* (a fresh worker serves
-        the right half, acks by answering ``ping`` — checkpointed as
-        ``acked`` — the donor pre-stages its shrunken engine, and
-        inside the coordinator's commit barrier the staged engine swaps
-        in and the routing map flips).  Queries keep flowing
+        the right half and acks by answering ``ping``, the donor
+        pre-stages its shrunken engine — checkpointed as ``acked`` —
+        and inside the coordinator's commit barrier the staged engine
+        swaps in and the routing map flips).  Queries keep flowing
         throughout; a crash at any point recovers from the checkpoint
         alone (see :meth:`from_checkpoint`).  ``pace_s`` > 0 pauses
         between phases to amortise serving impact (see :meth:`_pace`).
         """
-        if not self._rebalance_busy.acquire(blocking=False):
-            raise ValueError(
-                "a rebalance is already in progress; retry once it completes"
-            )
-        mutated: List[str] = []
-        record: Optional[dict] = None
-        try:
-            self._rebalance_abort.clear()
-            self._hook("pre_prepare")
+
+        def prepare() -> _Handoff:
             donor = self._spec_for(shard_id)
             new_id = self._new_shard_id()
             left_path = self._fresh_path(f"{shard_id}-split", ".npz")
             right_path = self._fresh_path(new_id, ".npz")
             warm_path = self._fresh_path(f"{new_id}-warm", ".npz")
-            # -- prepare ------------------------------------------------
             snap = self._worker_call(
                 shard_id,
                 ShardSnapshotRequest.build(
@@ -1951,26 +1978,15 @@ class ShardedService:
                 timeout,
             )
             chosen = snap["boundary"]
-            donor_spec = ShardSpec(
-                shard_id,
-                left_path,
-                int(snap["left"]["num_users"]),
-                snap["left"]["first_user"],
-                snap["left"]["last_user"],
+            halves = (
+                ShardSpec(shard_id, left_path, **snap["left"]),
+                ShardSpec(new_id, right_path, **snap["right"]),
             )
-            recipient_spec = ShardSpec(
-                new_id,
-                right_path,
-                int(snap["right"]["num_users"]),
-                snap["right"]["first_user"],
-                snap["right"]["last_user"],
-            )
-            pending: List[ShardSpec] = []
-            for spec in self.shard_map.shards:
-                if spec.shard_id == shard_id:
-                    pending.extend((donor_spec, recipient_spec))
-                else:
-                    pending.append(spec)
+            pending = [
+                spec
+                for old in self.shard_map.shards
+                for spec in (halves if old.shard_id == shard_id else (old,))
+            ]
             record = {
                 "op": "split",
                 "phase": "prepared",
@@ -1978,84 +1994,29 @@ class ShardedService:
                 "recipient": new_id,
                 "boundary": chosen,
                 "participants": [shard_id, new_id],
-                "pending_shards": [_spec_to_payload(spec) for spec in pending],
+                "pending_shards": [asdict(spec) for spec in pending],
                 "pending_paths": [left_path, right_path, warm_path],
                 "obsolete_paths": [donor.store_path],
             }
-            self._install_record(record)
-            self._log_event(
-                "rebalance_prepared",
-                shard_id,
-                op="split",
-                boundary=chosen,
-                recipient=new_id,
-            )
-            self._hook("post_prepare")
-            self._pace(pace_s)
-            # -- ack: the recipient proves possession -------------------
-            with self._lifecycle:
-                self._spawn(recipient_spec, warm_path=warm_path)
-            host, port = self._wait_ready(recipient_spec, timeout)
-            self._addresses[new_id] = (host, port)
-            self._worker_call(new_id, PingRequest.build(), timeout)
-            record = dict(record, phase="acked")
-            self._install_record(record)
-            self._log_event("rebalance_acked", new_id, op="split")
-            self._hook("post_ack")
-            self._pace(pace_s)
-            # -- commit: pre-stage the shed, then barrier + flip --------
-            new_map = ShardMap(
-                subsets=self.shard_map.subsets,
-                shards=tuple(pending),
-                cache_state=self.shard_map.cache_state,
-            )
-            # The donor builds its shrunken engine while still serving
-            # the full range; the barrier below holds only for the
-            # pointer swap and the map flip.
-            self._worker_call(
-                shard_id, ShardDropRequest.build(chosen, stage="prepare"), timeout
-            )
-            self._check_abort()
-            with self.coordinator.rebalance_barrier(timeout):
-                mutated.append(shard_id)
+
+            def ack() -> None:
+                # The recipient proves possession; the donor then builds
+                # its shrunken engine while still serving the full range,
+                # so the barrier holds only for the pointer swap and the
+                # map flip.
+                with self._lifecycle:
+                    self._spawn(halves[1], warm_path=warm_path)
+                self._addresses[new_id] = self._wait_ready(halves[1], timeout)
+                self._worker_call(new_id, PingRequest.build(), timeout)
                 self._worker_call(
-                    shard_id, ShardDropRequest.build(chosen, stage="commit"), timeout
+                    shard_id, ShardDropRequest.build(chosen, stage="prepare"), timeout
                 )
-                self.coordinator.apply_rebalance(
-                    new_map,
-                    joins={new_id: (host, port, self._token)},
-                    removals=[],
-                )
-                self.shard_map = new_map
-            self._rebalance_record = None
-            self.checkpoint()
-            for path in (donor.store_path, warm_path):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-            self._rebalances_completed += 1
-            self._log_event(
-                "rebalance_committed",
-                shard_id,
-                op="split",
-                boundary=chosen,
-                recipient=new_id,
+
+            return _Handoff(
+                record, ack, (shard_id, ShardDropRequest.build(chosen, stage="commit"))
             )
-            self._hook("post_commit")
-            return {
-                "op": "split",
-                "donor": shard_id,
-                "recipient": new_id,
-                "boundary": chosen,
-                "shards": [spec.shard_id for spec in new_map.shards],
-            }
-        except BaseException as exc:
-            if record is not None and self._rebalance_record is not None:
-                self._abort_rebalance(record, str(exc), mutated)
-            raise
-        finally:
-            self._rebalance_record = None
-            self._rebalance_abort.clear()
-            self._rebalance_busy.release()
+
+        return self._handoff(prepare, timeout, pace_s)
 
     def rebalance_merge(
         self,
@@ -2075,15 +2036,8 @@ class ShardedService:
         drops the right shard, whose worker then retires.  ``pace_s``
         > 0 pauses between phases (see :meth:`_pace`).
         """
-        if not self._rebalance_busy.acquire(blocking=False):
-            raise ValueError(
-                "a rebalance is already in progress; retry once it completes"
-            )
-        mutated: List[str] = []
-        record: Optional[dict] = None
-        try:
-            self._rebalance_abort.clear()
-            self._hook("pre_prepare")
+
+        def prepare() -> _Handoff:
             left_spec = self._spec_for(left)
             right_spec = self._spec_for(right)
             order = [spec.shard_id for spec in self.shard_map.shards]
@@ -2095,7 +2049,6 @@ class ShardedService:
             merged_path = self._fresh_path(f"{left}-merged", ".npz")
             handoff_path = self._fresh_path(f"{right}-handoff", ".npz")
             warm_path = self._fresh_path(f"{right}-handoff-warm", ".npz")
-            # -- prepare ------------------------------------------------
             self._worker_call(
                 right,
                 ShardSnapshotRequest.build(
@@ -2110,11 +2063,11 @@ class ShardedService:
                 left_spec.first_user if left_spec.num_users else right_spec.first_user,
                 right_spec.last_user if right_spec.num_users else left_spec.last_user,
             )
-            pending = tuple(
+            pending = [
                 merged_spec if spec.shard_id == left else spec
                 for spec in self.shard_map.shards
                 if spec.shard_id != right
-            )
+            ]
             record = {
                 "op": "merge",
                 "phase": "prepared",
@@ -2122,91 +2075,27 @@ class ShardedService:
                 "recipient": left,
                 "boundary": "",
                 "participants": [left, right],
-                "pending_shards": [_spec_to_payload(spec) for spec in pending],
+                "pending_shards": [asdict(spec) for spec in pending],
                 "pending_paths": [handoff_path, warm_path, merged_path],
                 "obsolete_paths": [left_spec.store_path, right_spec.store_path],
             }
-            self._install_record(record)
-            self._log_event(
-                "rebalance_prepared", right, op="merge", recipient=left
-            )
-            self._hook("post_prepare")
-            self._pace(pace_s)
-            # -- ack: the left shard stages the adoption ----------------
-            # Heavy lifting (load + merge + persist + cache splice)
-            # happens here, while the left worker keeps answering for
-            # its own range only; the merged store is durably on disk
-            # before ``acked`` is checkpointed, so roll-forward recovery
-            # never needs the staged in-memory state.
-            new_map = ShardMap(
-                subsets=self.shard_map.subsets,
-                shards=pending,
-                cache_state=self.shard_map.cache_state,
-            )
-            self._worker_call(
-                left,
-                ShardAdoptRequest.build(
-                    handoff_path, merged_path, warm_path=warm_path, stage="prepare"
-                ),
-                timeout,
-            )
-            record = dict(record, phase="acked")
-            self._install_record(record)
-            self._log_event("rebalance_acked", left, op="merge")
-            self._hook("post_ack")
-            self._pace(pace_s)
-            # -- commit: barrier, staged swap, flip ---------------------
-            with self.coordinator.rebalance_barrier(timeout):
-                mutated.append(left)
-                self._worker_call(
-                    left,
-                    ShardAdoptRequest.build(
-                        handoff_path, merged_path, warm_path=warm_path, stage="commit"
-                    ),
-                    timeout,
+
+            def adopt(stage: str) -> ShardAdoptRequest:
+                return ShardAdoptRequest.build(
+                    handoff_path, merged_path, warm_path=warm_path, stage=stage
                 )
-                self.coordinator.apply_rebalance(new_map, joins={}, removals=[right])
-                self.shard_map = new_map
-            self._rebalance_record = None
-            self.checkpoint()
-            with self._lifecycle:
-                process = self._processes.pop(right, None)
-                if process is not None and process.is_alive():
-                    process.terminate()
-                    process.join(timeout=10.0)
-                    if process.is_alive():  # pragma: no cover - stuck worker
-                        process.kill()
-                        process.join(timeout=5.0)
-                self._addresses.pop(right, None)
-                self._restarts.pop(right, None)
-                self._gave_up.discard(right)
-            for path in (
-                left_spec.store_path,
-                right_spec.store_path,
-                handoff_path,
-                warm_path,
-            ):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-            self._rebalances_completed += 1
-            self._log_event(
-                "rebalance_committed", right, op="merge", recipient=left
-            )
-            self._hook("post_commit")
-            return {
-                "op": "merge",
-                "donor": right,
-                "recipient": left,
-                "shards": [spec.shard_id for spec in new_map.shards],
-            }
-        except BaseException as exc:
-            if record is not None and self._rebalance_record is not None:
-                self._abort_rebalance(record, str(exc), mutated)
-            raise
-        finally:
-            self._rebalance_record = None
-            self._rebalance_abort.clear()
-            self._rebalance_busy.release()
+
+            def ack() -> None:
+                # The heavy lifting (load + merge + persist + cache
+                # splice) happens here, while the left worker keeps
+                # answering for its own range only; the merged store is
+                # durably on disk before ``acked`` is checkpointed, so
+                # roll-forward recovery never needs the staged state.
+                self._worker_call(left, adopt("prepare"), timeout)
+
+            return _Handoff(record, ack, (left, adopt("commit")))
+
+        return self._handoff(prepare, timeout, pace_s)
 
     def rebalance_status(self) -> dict:
         """Current ranges, any in-flight handoff, and lifetime counters."""
@@ -2214,7 +2103,7 @@ class ShardedService:
             shards = []
             for spec in self.shard_map.shards:
                 process = self._processes.get(spec.shard_id)
-                entry = _spec_to_payload(spec)
+                entry = asdict(spec)
                 entry["live"] = bool(
                     process is not None
                     and process.is_alive()
@@ -2240,9 +2129,8 @@ class ShardedService:
         """Fault injection: SIGKILL one worker, leaving membership as-is
         so the next query exercises the coordinator's retry path."""
         with self._lifecycle:
-            process = self._processes[shard_id]
-            process.kill()
-            process.join(timeout=10.0)
+            self._spec_for(shard_id)
+            _stop(self._processes.get(shard_id), graceful=False)
 
     def restart_shard(self, shard_id: str, timeout: float = 30.0) -> None:
         """Respawn a worker from its checkpointed store and rejoin it.
@@ -2253,13 +2141,8 @@ class ShardedService:
         handle, so the shard's circuit breaker restarts closed.
         """
         with self._lifecycle:
-            spec = next(
-                spec for spec in self.shard_map.shards if spec.shard_id == shard_id
-            )
-            old = self._processes.get(shard_id)
-            if old is not None and old.is_alive():
-                old.kill()
-                old.join(timeout=10.0)
+            spec = self._spec_for(shard_id)
+            _stop(self._processes.get(shard_id), graceful=False)
             self.coordinator.leave(shard_id, drain=False)
             self._spawn(spec)
             host, port = self._wait_ready(spec, timeout)
@@ -2277,13 +2160,7 @@ class ShardedService:
         with self._lifecycle:
             self.coordinator.close()
             for process in self._processes.values():
-                if process.is_alive():
-                    process.terminate()
-            for process in self._processes.values():
-                process.join(timeout=10.0)
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.kill()
-                    process.join(timeout=5.0)
+                _stop(process)
 
     def __enter__(self) -> "ShardedService":
         return self
