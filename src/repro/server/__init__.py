@@ -32,16 +32,10 @@ from .serialization import (
     loads_store,
     save_store,
 )
-from .sharded import (
-    ShardCoordinator,
-    ShardMap,
-    ShardSpec,
-    ShardUnavailableError,
-    ShardWorkerEngine,
-    ShardedService,
-    run_shard_worker,
-    sharded_service,
-)
+from .shard_coordinator import ShardCoordinator
+from .shard_service import ShardedService, sharded_service
+from .shard_worker import ShardWorkerEngine, run_shard_worker
+from .sharded import ShardMap, ShardSpec, ShardUnavailableError
 from .streaming import StreamingEstimator, merge_stores
 from .sulq import DualModeServer, QueryBudgetExhausted, QueryRecord, SulqServer
 

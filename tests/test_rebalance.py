@@ -263,7 +263,7 @@ class TestLiveRebalanceParity:
 class TestRebalanceValidation:
     def test_bare_coordinator_refuses_rebalance_kinds(self):
         store, prf, engine = make_stack(BiasedPRF, num_users=20)
-        from repro.server.sharded import ShardCoordinator
+        from repro.server.shard_coordinator import ShardCoordinator
 
         shard_map = ShardMap(subsets=tuple(store.subsets), shards=())
         coordinator = ShardCoordinator(shard_map, prf)
