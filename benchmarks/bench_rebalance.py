@@ -4,8 +4,8 @@ PR 10 made the shard topology *mutable under load*: a two-phase,
 checkpointed handoff splits one shard's contiguous user range in two
 (or merges two neighbours) while the coordinator keeps answering.  This
 benchmark replays the E25/E26 mixed protocol trace against a 2-shard
-service and drives a **split and then a merge mid-trace**, gating the
-claims the design makes:
+service and drives **three split -> merge cycles mid-trace**, gating
+the claims the design makes:
 
 * **zero errors** — no request observes the handoff as a failure; the
   commit barrier drains in-flight fan-outs instead of breaking them;
@@ -13,11 +13,13 @@ claims the design makes:
   handoffs, is bit-identical to the single-store engine's answer
   (mid-rebalance queries route by the committed map, so there is no
   double-count window);
-* **throughput floor** — requests issued while a handoff is in flight
-  sustain at least 90% (80% in quick/CI mode, where short windows on
+* **throughput floor** — in the median over the cycles, requests
+  issued while a handoff is in flight sustain at least 90% (80% in
+  quick/CI mode, where short windows on
   shared runners cannot average out scheduler noise — same relaxation
   E28 applies) of the steady-state throughput *of that
-  window's own topology* (the split runs at 2 shards, the merge at 3;
+  window's own topology*, measured in the same cycle (the split runs
+  at 2 shards, the merge at 3;
   E26 prices the per-shard-count fan-out tax separately, and a handoff
   should not be billed for it): every heavy step (carve, export,
   staged drop/adopt) runs while workers keep serving, the commit
@@ -37,9 +39,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import tempfile
 import threading
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +69,10 @@ THROUGHPUT_FLOOR = 0.90
 #: runners add scheduler noise that the short quick-mode windows cannot
 #: average out, so the contract-strength 90% gate is the full run's.
 QUICK_THROUGHPUT_FLOOR = 0.80
+#: Split -> merge cycles per run; the floors gate each topology's median
+#: handoff ratio over them.
+CYCLES = 3
+SEGMENTS = ("steady2", "split", "steady3", "merge", "tail")
 #: Pause between handoff phases — the operational throttle that bounds
 #: serving impact (the phases themselves are off the query path).  A
 #: bigger store means heavier prepare/stage steps, so the pace scales
@@ -99,6 +107,7 @@ def run(
     steady_s: float = 3.0,
     pace_s: float = FULL_PACE_S,
     floor: float = THROUGHPUT_FLOOR,
+    cycles: int = CYCLES,
 ) -> dict:
     _params, prf, sketcher, estimator, rng = make_stack(p=0.3, seed=SEED)
     database = bernoulli_panel(num_users, 4, density=0.5, rng=rng)
@@ -106,41 +115,19 @@ def run(
     engine = QueryEngine(database.schema, store, estimator)
     expected = [_normalise(engine.execute(r).result) for _, r in BASE_TRACE]
 
-    windows: dict = {}
+    # One latency list per (segment, cycle): "steady2" / "split" /
+    # "steady3" / "merge" for each split -> merge cycle, then one "tail".
+    segments: dict = {name: [] for name in SEGMENTS}
+    windows: dict = {"split": [], "merge": []}
     control_error: list = []
-    go_split = threading.Event()
-    split_done = threading.Event()
-    go_merge = threading.Event()
-    merge_done = threading.Event()
-
-    samples = []  # (base_index, start, latency, normalised_reply | None)
+    replies = []  # (base_index, normalised_reply | None)
     errors: list = []
 
     with tempfile.TemporaryDirectory(prefix="bench-rebalance-") as base_dir:
         service = ShardedService.from_store(store, prf, 2, base_dir, cache=True)
         service.start()
 
-        def control() -> None:
-            """Drive the two handoffs while the main thread replays trace."""
-            try:
-                go_split.wait(timeout=300)
-                t0 = time.perf_counter()
-                out = service.rebalance_split("shard-0", pace_s=pace_s)
-                windows["split"] = (t0, time.perf_counter())
-                split_done.set()
-                go_merge.wait(timeout=300)
-                t0 = time.perf_counter()
-                service.rebalance_merge(
-                    out["donor"], out["recipient"], pace_s=pace_s
-                )
-                windows["merge"] = (t0, time.perf_counter())
-            except Exception as exc:  # noqa: BLE001 - surfaced by the gate
-                control_error.append(f"{type(exc).__name__}: {exc}")
-            finally:
-                split_done.set()
-                merge_done.set()
-
-        def drive_pass(measure: bool = True) -> None:
+        def drive_pass(latencies: Optional[list]) -> None:
             for index, (_, request) in enumerate(BASE_TRACE):
                 start = time.perf_counter()
                 try:
@@ -149,65 +136,72 @@ def run(
                     errors.append(f"{type(exc).__name__}: {exc}")
                     reply = None
                 latency = time.perf_counter() - start
-                if measure:
-                    samples.append((index, start, latency, _normalise(reply)))
+                if latencies is not None:
+                    latencies.append(latency)
+                    replies.append((index, _normalise(reply)))
 
-        def drive_until(event: threading.Event) -> None:
-            while not event.is_set():
-                drive_pass()
-
-        def drive_for(seconds: float) -> None:
-            deadline = time.perf_counter() + seconds
+        def drive_for(name: str) -> None:
+            latencies: list = []
+            deadline = time.perf_counter() + steady_s
             while time.perf_counter() < deadline:
-                drive_pass()
+                drive_pass(latencies)
+            segments[name].append(latencies)
 
-        thread = threading.Thread(target=control, daemon=True)
-        thread.start()
-        try:
-            drive_pass(measure=False)  # cold pass: steady state is warm
-            drive_for(steady_s)  # 2-shard steady baseline
-            go_split.set()
-            drive_until(split_done)  # split window (2-shard topology)
-            drive_for(steady_s)  # 3-shard steady baseline
-            go_merge.set()
-            drive_until(merge_done)  # merge window (3-shard topology)
-            drive_for(steady_s)  # back to 2 shards: the steady tail
+        def handoff(name: str, step) -> dict:
+            """Run one handoff on a thread while this thread drives the
+            trace; every request issued meanwhile lands in its window."""
+            done = threading.Event()
+            out: dict = {}
+
+            def control() -> None:
+                t0 = time.perf_counter()
+                try:
+                    out.update(step())
+                except Exception as exc:  # noqa: BLE001 - surfaced by the gate
+                    control_error.append(f"{type(exc).__name__}: {exc}")
+                finally:
+                    windows[name].append(time.perf_counter() - t0)
+                    done.set()
+
+            thread = threading.Thread(target=control, daemon=True)
+            latencies: list = []
+            thread.start()
+            while not done.is_set():
+                drive_pass(latencies)
             thread.join(timeout=300)
+            segments[name].append(latencies)
+            return out
+
+        try:
+            drive_pass(None)  # cold pass: steady state is warm
+            for _cycle in range(cycles):
+                drive_for("steady2")  # 2-shard steady baseline
+                out = handoff(
+                    "split", lambda: service.rebalance_split("shard-0", pace_s=pace_s)
+                )
+                if control_error:
+                    break
+                drive_for("steady3")  # 3-shard steady baseline
+                handoff(
+                    "merge",
+                    lambda: service.rebalance_merge(
+                        out["donor"], out["recipient"], pace_s=pace_s
+                    ),
+                )
+                if control_error:
+                    break
+            drive_for("tail")  # back to 2 shards: the steady tail
             status = service.rebalance_status()
         finally:
-            go_split.set()
-            go_merge.set()
             service.close()
 
-    # Structural gates: without both handoff windows there is nothing
+    # Structural gates: without every handoff window there is nothing
     # to segment or record.  Everything else (errors, parity, floors)
     # is asserted only AFTER the JSON trajectory is written, so a
     # failed run still lands the measurements CI paid for.
     assert not control_error, f"rebalance failed mid-trace: {control_error}"
-    assert "split" in windows and "merge" in windows, "handoffs never ran"
-
-    # Segment the timeline: each handoff window is compared against the
-    # steady-state segment serving the same topology (2 shards around
-    # the split, 3 shards around the merge) — the shard-count fan-out
-    # tax is E26's measurement, not a handoff cost.
-    split_t0, split_t1 = windows["split"]
-    merge_t0, merge_t1 = windows["merge"]
-    segments: dict = {
-        "steady2": [], "split": [], "steady3": [], "merge": [], "tail": []
-    }
-    for _, start, latency, _ in samples:
-        if start < split_t0:
-            segments["steady2"].append(latency)
-        elif start <= split_t1:
-            segments["split"].append(latency)
-        elif start < merge_t0:
-            segments["steady3"].append(latency)
-        elif start <= merge_t1:
-            segments["merge"].append(latency)
-        else:
-            segments["tail"].append(latency)
-    for name, lats in segments.items():
-        assert lats, f"trace missed the {name!r} segment entirely"
+    for name, runs in segments.items():
+        assert runs and all(runs), f"trace missed the {name!r} segment entirely"
 
     def rps(lats: list) -> float:
         # Trimmed rate: drop the slowest 5% before summing.  Applied
@@ -218,10 +212,25 @@ def run(
         trimmed = sorted(lats)[:keep]
         return len(trimmed) / sum(trimmed)
 
-    ratios = {
-        "split": rps(segments["split"]) / rps(segments["steady2"]),
-        "merge": rps(segments["merge"]) / rps(segments["steady3"]),
+    # Each handoff window is compared against the steady segment that
+    # preceded it *in the same cycle*, serving the same topology (2
+    # shards before the split, 3 before the merge) — the shard-count
+    # fan-out tax is E26's measurement, not a handoff cost.  The gate
+    # reads each topology's median over the cycles: one window is a
+    # few seconds of a shared host, and a single noisy window must not
+    # decide the verdict either way.
+    cycle_ratios = {
+        "split": [
+            rps(window) / rps(steady)
+            for window, steady in zip(segments["split"], segments["steady2"])
+        ],
+        "merge": [
+            rps(window) / rps(steady)
+            for window, steady in zip(segments["merge"], segments["steady3"])
+        ],
     }
+    ratios = {op: statistics.median(values) for op, values in cycle_ratios.items()}
+    pooled = {name: [lat for run in runs for lat in run] for name, runs in segments.items()}
 
     def p50_ms(lats: list) -> float:
         return float(np.percentile(np.asarray(lats) * 1e3, 50))
@@ -230,20 +239,23 @@ def run(
         "experiment": "E29",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "num_users": num_users,
-        "requests": len(samples),
+        "cycles": cycles,
+        "requests": len(replies),
         "errors": len(errors),
         "pace_s": pace_s,
-        "split_s": split_t1 - split_t0,
-        "merge_s": merge_t1 - merge_t0,
+        "split_s": statistics.median(windows["split"]),
+        "merge_s": statistics.median(windows["merge"]),
         "split_ratio": ratios["split"],
         "merge_ratio": ratios["merge"],
+        "split_ratios": cycle_ratios["split"],
+        "merge_ratios": cycle_ratios["merge"],
         "segments": {
             name: {
                 "requests": len(lats),
                 "rps": rps(lats),
                 "p50_ms": p50_ms(lats),
             }
-            for name, lats in segments.items()
+            for name, lats in pooled.items()
         },
     }
 
@@ -262,18 +274,18 @@ def run(
 
     # -- gates (after the trajectory landed) ----------------------------
     assert not errors, f"requests errored during the handoff: {errors[:3]}"
-    assert status["completed"] == 2 and status["aborted"] == 0, status
-    for index, _start, _latency, reply in samples:
+    assert status["completed"] == 2 * cycles and status["aborted"] == 0, status
+    for index, reply in replies:
         assert reply == expected[index], (
             f"request {BASE_TRACE[index][0]} deviated from the single-store "
             "engine during rebalancing"
         )
     for op, ratio in ratios.items():
         assert ratio >= floor, (
-            f"mid-{op} throughput {rps(segments[op]):.0f} req/s is "
-            f"{ratio:.1%} of that topology's steady state "
-            f"{rps(segments['steady2' if op == 'split' else 'steady3']):.0f} "
-            f"req/s (floor: {floor:.0%})"
+            f"mid-{op} throughput is {ratio:.1%} of that topology's steady "
+            f"state in the median of {cycles} cycles "
+            f"({', '.join(f'{r:.1%}' for r in cycle_ratios[op])}; "
+            f"floor: {floor:.0%})"
         )
 
     labels = {
@@ -285,34 +297,35 @@ def run(
     }
     write_table(
         "E29",
-        f"Live rebalancing: M={num_users}, {len(samples)} requests with a "
-        "split + merge mid-trace",
+        f"Live rebalancing: M={num_users}, {len(replies)} requests with "
+        f"{cycles} split + merge cycles mid-trace",
         ["segment", "requests", "req/s", "p50 ms"],
         [
             (
                 labels[name],
-                str(len(segments[name])),
-                f"{rps(segments[name]):.0f}",
-                f"{p50_ms(segments[name]):.2f}",
+                str(len(pooled[name])),
+                f"{rps(pooled[name]):.0f}",
+                f"{p50_ms(pooled[name]):.2f}",
             )
-            for name in ("steady2", "split", "steady3", "merge", "tail")
+            for name in SEGMENTS
         ],
         notes=(
-            "A 2-shard service replays the E25/E26 protocol mix while a\n"
-            "range split and a merge commit underneath it.  Gates: zero\n"
+            "A 2-shard service replays the E25/E26 protocol mix while\n"
+            f"{cycles} range split + merge cycles commit underneath it.  "
+            "Gates: zero\n"
             "request errors, every reply bit-identical to the single-store\n"
-            "engine, and each handoff window sustains >= "
-            f"{floor:.0%} of its own\n"
-            "topology's steady-state throughput (heavy steps run while\n"
+            "engine, and for each topology the median over the cycles of\n"
+            "(handoff-window throughput / the same cycle's steady\n"
+            f"throughput) is >= {floor:.0%} (heavy steps run while\n"
             "workers keep serving, the commit barrier holds only for a\n"
             f"pointer swap + map flip, and phases are paced {pace_s:.1f}s "
             "apart to\n"
             "spread the impact; the 2- vs 3-shard fan-out tax is E26's\n"
-            "measurement, not a handoff cost).\n"
+            "measurement, not a handoff cost).  Segment rows pool the cycles.\n"
             f"This run: split {record['split_s'] * 1e3:.0f} ms at "
             f"{ratios['split']:.1%} of steady, "
             f"merge {record['merge_s'] * 1e3:.0f} ms at "
-            f"{ratios['merge']:.1%}."
+            f"{ratios['merge']:.1%} (medians)."
         ),
     )
     print(f"\nappended run to {JSON_PATH} ({len(history['runs'])} run(s) on record)")

@@ -205,6 +205,46 @@ def _range_summary(columns: dict) -> dict:
     }
 
 
+def _check_rebalance(record, shards: Tuple[ShardSpec, ...], directory: str) -> None:
+    """Refuse a rebalance record that recovery could not resolve safely.
+
+    Recovery deletes files on the record's word alone, so every file it
+    names must be one a rebalance could have made or superseded:
+    ``pending_paths`` are fresh files in the checkpoint's own directory
+    (never a committed store), ``obsolete_paths`` are stores of the
+    committed map, and an ``acked`` record carries the pending map it
+    commits to.  Raises ``ValueError`` naming the first defect.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"rebalance must be an object, got {type(record).__name__}")
+    if record.get("op") not in ("split", "merge"):
+        raise ValueError(f"rebalance op must be 'split' or 'merge', got {record.get('op')!r}")
+    if not isinstance(record.get("phase"), str):
+        raise ValueError(f"rebalance phase must be a string, got {record.get('phase')!r}")
+    for key in ("pending_shards", "pending_paths", "obsolete_paths"):
+        if not isinstance(record.get(key, []), list):
+            raise ValueError(f"rebalance {key} must be a list")
+    if record["phase"] == "acked" and not record.get("pending_shards"):
+        raise ValueError("an acked rebalance record must list its pending_shards")
+    for entry in record.get("pending_shards", []):
+        _spec_from_payload(entry)
+    committed = {spec.store_path for spec in shards}
+    home = os.path.realpath(directory)
+    for path in record.get("pending_paths", []):
+        if (
+            not isinstance(path, str)
+            or os.path.dirname(os.path.realpath(path)) != home
+            or path in committed
+        ):
+            raise ValueError(
+                f"pending path {path!r} is not a fresh file in the checkpoint "
+                f"directory {directory}"
+            )
+    for path in record.get("obsolete_paths", []):
+        if path not in committed:
+            raise ValueError(f"obsolete path {path!r} is not a store of the committed map")
+
+
 @dataclass(frozen=True)
 class ShardMap:
     """The coordinator's durable view of the cluster.
@@ -214,7 +254,8 @@ class ShardMap:
     messages list it) plus one :class:`ShardSpec` per shard in user-range
     order.  :meth:`save` writes atomically (temp file + ``os.replace``)
     so a crash mid-checkpoint leaves the previous map intact;
-    :meth:`load` refuses truncated or foreign files with ``ValueError``.
+    :meth:`load` refuses truncated or foreign files — and rebalance
+    records naming files recovery must not delete — with ``ValueError``.
     """
 
     subsets: Tuple[Subset, ...]
@@ -288,22 +329,20 @@ class ShardMap:
                 f"unsupported shard-map version {data.get('version')!r} in {path}; "
                 f"this build reads versions {list(_SHARD_MAP_READ_VERSIONS)}"
             )
+        rebalance = data.get("rebalance")
         try:
             subsets = tuple(tuple(int(i) for i in s) for s in data["subsets"])
             shards = tuple(_spec_from_payload(entry) for entry in data["shards"])
+            if rebalance is not None:
+                _check_rebalance(rebalance, shards, os.path.dirname(path) or ".")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed shard-map checkpoint {path}: {exc}") from exc
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed shard-map checkpoint {path}: {detail}") from exc
         cache_state = data.get("cache_state")
         if cache_state is not None and not isinstance(cache_state, dict):
             raise ValueError(
                 f"malformed shard-map checkpoint {path}: cache_state must be "
                 f"an object, got {type(cache_state).__name__}"
-            )
-        rebalance = data.get("rebalance")
-        if rebalance is not None and not isinstance(rebalance, dict):
-            raise ValueError(
-                f"malformed shard-map checkpoint {path}: rebalance must be "
-                f"an object, got {type(rebalance).__name__}"
             )
         return cls(
             subsets=subsets,

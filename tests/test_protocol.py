@@ -297,6 +297,23 @@ class TestEnvelope:
         with pytest.raises(ProtocolError, match="width"):
             CountsBlockRequest.build((0, 1), [(1,)])
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "shard_adopt", "handoff_path": "h.npz", "save_path": "m.npz"},
+            {"kind": "shard_drop", "boundary": "u0042"},
+        ],
+        ids=lambda body: body["kind"],
+    )
+    @pytest.mark.parametrize("stage", [None, "all", "bogus"])
+    def test_rebalance_stage_is_required(self, body, stage):
+        if stage is not None:
+            body = dict(body, stage=stage)
+        payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
+        with pytest.raises(ProtocolError) as info:
+            loads_request(payload)
+        assert info.value.code == "malformed_request"
+
     def test_protocol_error_is_a_value_error(self):
         """Legacy callers catching ValueError keep working."""
         assert issubclass(ProtocolError, ValueError)

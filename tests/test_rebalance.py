@@ -87,6 +87,16 @@ REQUESTS = [
 ]
 
 
+def _store_files(base_dir):
+    """The ``.npz`` files a service directory holds."""
+    return sorted(name for name in os.listdir(base_dir) if name.endswith(".npz"))
+
+
+def _map_files(shard_map):
+    """The store files a shard map serves from: all a directory should hold."""
+    return sorted(os.path.basename(spec.store_path) for spec in shard_map.shards)
+
+
 def make_stack(prf_cls, num_users=80, seed=5):
     params = PrivacyParams(p=0.3)
     prf = prf_cls(p=0.3, global_key=GLOBAL_KEY)
@@ -224,6 +234,7 @@ class TestLiveRebalanceParity:
                     assert got == want, (request.kind, _pass)
             status = service.rebalance_status()
             assert status["completed"] == 2 and status["active"] is None
+            assert _store_files(tmp_path) == _map_files(service.shard_map)
         finally:
             stop.set()
             service.close()
@@ -352,6 +363,7 @@ class TestSigkillMatrix:
             for request, want in zip(REQUESTS, expected):
                 got = dumps_response(recovered.coordinator.execute(request))
                 assert got == want, (op, phase, request.kind)
+            assert _store_files(tmp_path) == _map_files(recovered.shard_map)
         finally:
             recovered.close()
 
@@ -456,6 +468,85 @@ class TestDurableCheckpoint:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         assert ShardMap.load(path).rebalance is None
+
+
+class TestMalformedRebalanceRecord:
+    """A record recovery cannot resolve safely is refused before any
+    file is touched — recovery deletes files on the record's word."""
+
+    @staticmethod
+    def _pending(base):
+        return {
+            "shard_id": "shard-0",
+            "store_path": str(base / "shard-0-split.npz"),
+            "num_users": 3,
+            "first_user": "a",
+            "last_user": "c",
+        }
+
+    SHAPES = {
+        "acked_without_pending_shards": lambda base, committed, victim: {
+            "op": "split",
+            "phase": "acked",
+            "pending_paths": [],
+            "obsolete_paths": [committed],
+        },
+        "pending_spec_without_store_path": lambda base, committed, victim: {
+            "op": "split",
+            "phase": "acked",
+            "pending_shards": [
+                {
+                    key: value
+                    for key, value in TestMalformedRebalanceRecord._pending(base).items()
+                    if key != "store_path"
+                }
+            ],
+        },
+        "pending_path_outside_directory": lambda base, committed, victim: {
+            "op": "split",
+            "phase": "prepared",
+            "pending_paths": [victim],
+        },
+        "pending_path_is_a_committed_store": lambda base, committed, victim: {
+            "op": "split",
+            "phase": "prepared",
+            "pending_paths": [committed],
+        },
+        "obsolete_path_not_committed": lambda base, committed, victim: {
+            "op": "split",
+            "phase": "acked",
+            "pending_shards": [TestMalformedRebalanceRecord._pending(base)],
+            "obsolete_paths": [victim],
+        },
+        "unknown_op": lambda base, committed, victim: {
+            "op": "shuffle",
+            "phase": "prepared",
+        },
+        "phase_not_a_string": lambda base, committed, victim: {
+            "op": "merge",
+            "phase": 2,
+        },
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_refused_and_no_file_touched(self, shape, tmp_path):
+        base = tmp_path / "service"
+        base.mkdir()
+        committed = base / "shard-0.npz"
+        committed.write_bytes(b"committed store")
+        victim = tmp_path / "victim.npz"
+        victim.write_bytes(b"not the service's file")
+        record = self.SHAPES[shape](base, str(committed), str(victim))
+        spec = ShardSpec("shard-0", str(committed), 3, "a", "c")
+        checkpoint = base / "shard_map.json"
+        ShardMap(subsets=((0,),), shards=(spec,), rebalance=record).save(checkpoint)
+        before = checkpoint.read_bytes()
+        prf = BiasedPRF(p=0.3, global_key=GLOBAL_KEY)
+        with pytest.raises(ValueError, match="malformed shard-map checkpoint"):
+            ShardedService.from_checkpoint(base, prf)
+        assert victim.read_bytes() == b"not the service's file"
+        assert committed.read_bytes() == b"committed store"
+        assert checkpoint.read_bytes() == before
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,16 @@ class TestKillAndRejoin:
         service.restart_shard("shard-1")
         assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
 
+    def test_kill_unknown_shard_lists_the_map(self, service):
+        with pytest.raises(ValueError, match=r"unknown shard id 'nope'.*shard-0"):
+            service.kill_shard("nope")
+        assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
+
+    def test_restart_unknown_shard_lists_the_map(self, service):
+        with pytest.raises(ValueError, match=r"unknown shard id 'nope'.*shard-0"):
+            service.restart_shard("nope")
+        assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
+
 
 class TestErrorEnvelope:
     def test_shard_unavailable_round_trips_the_envelope(self):
