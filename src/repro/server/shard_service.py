@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import multiprocessing
 import os
 import re
@@ -53,6 +54,25 @@ def _preferred_context() -> multiprocessing.context.BaseContext:
     spawn-safe primitives either way."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _release_freed_heap() -> None:
+    """Hand heap pages the coordinator has freed back to the OS.
+
+    A forked worker starts with every page its parent has resident and
+    counts them in its own RSS.  glibc keeps freed memory inside the heap
+    — a store the caller loaded, split and dropped just before
+    :meth:`ShardedService.start` — so without a trim every worker would
+    carry it.  ``malloc_trim`` exists only in glibc; elsewhere this does
+    nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def _stop(process, graceful: bool = True) -> None:
@@ -467,6 +487,7 @@ class ShardedService:
             daemon=True,
             name=f"repro-{spec.shard_id}",
         )
+        _release_freed_heap()
         process.start()
         self._processes[spec.shard_id] = process
 
