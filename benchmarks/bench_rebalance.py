@@ -107,7 +107,6 @@ def run(
     steady_s: float = 3.0,
     pace_s: float = FULL_PACE_S,
     floor: float = THROUGHPUT_FLOOR,
-    cycles: int = CYCLES,
 ) -> dict:
     _params, prf, sketcher, estimator, rng = make_stack(p=0.3, seed=SEED)
     database = bernoulli_panel(num_users, 4, density=0.5, rng=rng)
@@ -127,8 +126,12 @@ def run(
         service = ShardedService.from_store(store, prf, 2, base_dir, cache=True)
         service.start()
 
-        def drive_pass(latencies: Optional[list]) -> None:
+        def drive_pass(
+            latencies: Optional[list], until: Optional[threading.Event] = None
+        ) -> None:
             for index, (_, request) in enumerate(BASE_TRACE):
+                if until is not None and until.is_set():
+                    return
                 start = time.perf_counter()
                 try:
                     reply = service.coordinator.execute(request).result
@@ -167,14 +170,14 @@ def run(
             latencies: list = []
             thread.start()
             while not done.is_set():
-                drive_pass(latencies)
+                drive_pass(latencies, until=done)
             thread.join(timeout=300)
             segments[name].append(latencies)
             return out
 
         try:
             drive_pass(None)  # cold pass: steady state is warm
-            for _cycle in range(cycles):
+            for _cycle in range(CYCLES):
                 drive_for("steady2")  # 2-shard steady baseline
                 out = handoff(
                     "split", lambda: service.rebalance_split("shard-0", pace_s=pace_s)
@@ -239,7 +242,7 @@ def run(
         "experiment": "E29",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "num_users": num_users,
-        "cycles": cycles,
+        "cycles": CYCLES,
         "requests": len(replies),
         "errors": len(errors),
         "pace_s": pace_s,
@@ -274,7 +277,7 @@ def run(
 
     # -- gates (after the trajectory landed) ----------------------------
     assert not errors, f"requests errored during the handoff: {errors[:3]}"
-    assert status["completed"] == 2 * cycles and status["aborted"] == 0, status
+    assert status["completed"] == 2 * CYCLES and status["aborted"] == 0, status
     for index, reply in replies:
         assert reply == expected[index], (
             f"request {BASE_TRACE[index][0]} deviated from the single-store "
@@ -283,7 +286,7 @@ def run(
     for op, ratio in ratios.items():
         assert ratio >= floor, (
             f"mid-{op} throughput is {ratio:.1%} of that topology's steady "
-            f"state in the median of {cycles} cycles "
+            f"state in the median of {CYCLES} cycles "
             f"({', '.join(f'{r:.1%}' for r in cycle_ratios[op])}; "
             f"floor: {floor:.0%})"
         )
@@ -298,7 +301,7 @@ def run(
     write_table(
         "E29",
         f"Live rebalancing: M={num_users}, {len(replies)} requests with "
-        f"{cycles} split + merge cycles mid-trace",
+        f"{CYCLES} split + merge cycles mid-trace",
         ["segment", "requests", "req/s", "p50 ms"],
         [
             (
@@ -311,7 +314,7 @@ def run(
         ],
         notes=(
             "A 2-shard service replays the E25/E26 protocol mix while\n"
-            f"{cycles} range split + merge cycles commit underneath it.  "
+            f"{CYCLES} range split + merge cycles commit underneath it.  "
             "Gates: zero\n"
             "request errors, every reply bit-identical to the single-store\n"
             "engine, and for each topology the median over the cycles of\n"

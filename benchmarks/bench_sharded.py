@@ -1,7 +1,7 @@
 """E26 — sharded serving: scatter-gather throughput vs shard count.
 
 PR 7 split the store by contiguous user range into per-shard worker
-processes with a :class:`~repro.server.sharded.ShardCoordinator` in
+processes with a :class:`~repro.server.shard_coordinator.ShardCoordinator` in
 front, speaking the PR 6 typed protocol unchanged.  This benchmark
 measures what that buys (and costs) end to end:
 

@@ -573,7 +573,7 @@ class PingRequest(QueryRequest):
     Served at the perimeter without touching the engine or the
     accountant — it proves the event loop (and, through a shard worker's
     server, the worker process) is alive and draining its socket.  The
-    :class:`~repro.server.sharded.ShardedService` watchdog pings every
+    :class:`~repro.server.shard_service.ShardedService` watchdog pings every
     worker on each sweep; a ping that times out marks the worker *hung*
     even though its process is still alive.
     """

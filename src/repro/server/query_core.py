@@ -20,7 +20,7 @@ of the eight protocol families exactly once on top of that fact:
 Two classes plug a gather into the core.
 :class:`~repro.server.engine.QueryEngine` answers the partial in process
 over its own store: a single store is the one-shard case.
-:class:`~repro.server.sharded.ShardCoordinator` scatters it to its
+:class:`~repro.server.shard_coordinator.ShardCoordinator` scatters it to its
 shard workers.  Because both run the same handler on the same merged
 integers, sharded answers are bit-identical to single-store answers by
 construction.
