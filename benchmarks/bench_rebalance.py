@@ -233,7 +233,9 @@ def run(
         ],
     }
     ratios = {op: statistics.median(values) for op, values in cycle_ratios.items()}
-    pooled = {name: [lat for run in runs for lat in run] for name, runs in segments.items()}
+    pooled = {
+        name: [lat for run in runs for lat in run] for name, runs in segments.items()
+    }
 
     def p50_ms(lats: list) -> float:
         return float(np.percentile(np.asarray(lats) * 1e3, 50))

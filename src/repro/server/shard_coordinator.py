@@ -165,7 +165,9 @@ class ShardCoordinator(QueryCore):
         self.rebalance_executor = None
 
     # -- membership ----------------------------------------------------
-    def _new_handle(self, shard_id: str, host: str, port: int, token: str) -> _ShardHandle:
+    def _new_handle(
+        self, shard_id: str, host: str, port: int, token: str
+    ) -> _ShardHandle:
         """A connection to one worker with a fresh (closed) breaker."""
         return _ShardHandle(
             shard_id,

@@ -667,7 +667,9 @@ class ShardedService:
             self._hook("pre_prepare")
             handoff = prepare()
             record = handoff.record
-            summary = {key: record[key] for key in ("op", "donor", "recipient", "boundary")}
+            summary = {
+                key: record[key] for key in ("op", "donor", "recipient", "boundary")
+            }
             self._install_record(record)
             self._log_event("rebalance_prepared", record["donor"], **summary)
             self._hook("post_prepare")

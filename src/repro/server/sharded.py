@@ -218,9 +218,13 @@ def _check_rebalance(record, shards: Tuple[ShardSpec, ...], directory: str) -> N
     if not isinstance(record, dict):
         raise ValueError(f"rebalance must be an object, got {type(record).__name__}")
     if record.get("op") not in ("split", "merge"):
-        raise ValueError(f"rebalance op must be 'split' or 'merge', got {record.get('op')!r}")
+        raise ValueError(
+            f"rebalance op must be 'split' or 'merge', got {record.get('op')!r}"
+        )
     if not isinstance(record.get("phase"), str):
-        raise ValueError(f"rebalance phase must be a string, got {record.get('phase')!r}")
+        raise ValueError(
+            f"rebalance phase must be a string, got {record.get('phase')!r}"
+        )
     for key in ("pending_shards", "pending_paths", "obsolete_paths"):
         if not isinstance(record.get(key, []), list):
             raise ValueError(f"rebalance {key} must be a list")
@@ -242,7 +246,9 @@ def _check_rebalance(record, shards: Tuple[ShardSpec, ...], directory: str) -> N
             )
     for path in record.get("obsolete_paths", []):
         if path not in committed:
-            raise ValueError(f"obsolete path {path!r} is not a store of the committed map")
+            raise ValueError(
+                f"obsolete path {path!r} is not a store of the committed map"
+            )
 
 
 @dataclass(frozen=True)
@@ -337,7 +343,9 @@ class ShardMap:
                 _check_rebalance(rebalance, shards, os.path.dirname(path) or ".")
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"malformed shard-map checkpoint {path}: {detail}") from exc
+            raise ValueError(
+                f"malformed shard-map checkpoint {path}: {detail}"
+            ) from exc
         cache_state = data.get("cache_state")
         if cache_state is not None and not isinstance(cache_state, dict):
             raise ValueError(
@@ -362,7 +370,9 @@ class ShardMap:
         they leave the same files behind.
         """
         record = self.rebalance
-        shards = tuple(_spec_from_payload(entry) for entry in record["pending_shards"])
+        shards = tuple(
+            _spec_from_payload(entry) for entry in record["pending_shards"]
+        )
         referenced = {spec.store_path for spec in shards}
         unreferenced = [
             path
@@ -370,4 +380,5 @@ class ShardMap:
             + list(record.get("pending_paths", []))
             if path not in referenced
         ]
-        return ShardMap(self.subsets, shards, cache_state=self.cache_state), unreferenced
+        committed = ShardMap(self.subsets, shards, cache_state=self.cache_state)
+        return committed, unreferenced
