@@ -52,7 +52,7 @@ import numpy as np
 from repro.core import BiasedPRF, CounterPRF, PrivacyParams, SketchEstimator, Sketcher
 from repro.data import bernoulli_panel
 from repro.server import publish_database
-from repro.server.engine import store_content_hash
+from repro.server.evaluation_cache import store_content_hash
 from repro.server.serialization import dumps_store
 
 from _harness import RESULTS_DIR, GLOBAL_KEY, write_table

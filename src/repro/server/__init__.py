@@ -10,12 +10,8 @@ from .collector import (
     prefix_subsets,
     publish_database,
 )
-from .engine import (
-    MissingSketchError,
-    QueryEngine,
-    SketchEvaluationCache,
-    store_content_hash,
-)
+from .engine import MissingSketchError, QueryEngine
+from .evaluation_cache import SketchEvaluationCache, store_content_hash
 from .remote import RemoteQueryEngine, RemoteServer, serve_in_thread
 from .resilience import (
     CircuitBreaker,

@@ -27,26 +27,12 @@ sketches through the public PRF.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
-import json
 import os
-import shutil
-import tempfile
-import threading
-import time
-
-try:  # POSIX file locking for cross-process sweep coordination.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.estimator import QueryEstimate, SketchEstimator
-from ..core.prf import validate_value_bits
+from ..core.estimator import SketchEstimator
 from ..data.schema import Schema
 from ..protocol.messages import ShardPartialRequest
 from ..queries.boolean import DecisionNode, decision_tree_plan
@@ -64,905 +50,13 @@ from ..queries.combined import (
 from ..queries.interval import less_equal_plan, less_than_plan, range_plan
 from ..queries.numeric import inner_product_plan, moment_plan, sum_plan
 from ..queries.virtual import addition_interval_fraction
-from .collector import AlignedColumns, SketchColumn, SketchStore
+from .collector import AlignedColumns, SketchStore
+from .evaluation_cache import SketchEvaluationCache
 from .query_core import MEMO_ENTRIES, MissingSketchError, QueryCore
 
-__all__ = [
-    "MissingSketchError",
-    "SketchEvaluationCache",
-    "QueryEngine",
-    "store_content_hash",
-]
+__all__ = ["MissingSketchError", "QueryEngine"]
 
 Subset = Tuple[int, ...]
-
-_CACHE_FORMAT = "repro-eval-cache"
-# Version 2: entries are bit-packed (np.packbits behind an 8-byte length
-# header) and meta.json carries a per-column prefix-hash index so grown
-# stores can seed their fresh directory from an older one's columns.
-# The directory-name hash domain is bumped in step (store_content_hash),
-# so version-1 directories become invisible siblings — an upgraded
-# deployment recomputes transparently instead of failing on a
-# version-mismatched meta.json.
-_CACHE_VERSION = 2
-# Little-endian uint64 bit count prepended to each packed entry:
-# np.packbits pads the last byte with zeros, so the true column length
-# must travel with the payload (entries seeded from an older directory
-# are strict prefixes of the current column).
-_ENTRY_HEADER_BYTES = 8
-
-
-def store_content_hash(store: SketchStore, prf) -> str:
-    """Content hash identifying a store's queryable state under one PRF.
-
-    Covers everything a ``(subset, value) -> bits`` evaluation depends on:
-    the PRF identity (bias ``p`` and, when present, the public global key)
-    and each subset column's user ids, keys, and bit widths — in column
-    order, since cached vectors are positional.  The ``iterations``
-    diagnostics are deliberately excluded: they never enter the PRF, so a
-    store saved with or without them hashes (and caches) identically.
-    """
-    return _content_hash_from_columns(store.to_columns(), prf)
-
-
-def _content_hash_from_columns(columns: dict, prf) -> str:
-    """:func:`store_content_hash` over an already-materialised column dict.
-
-    Split out so the cache constructor can snapshot ``store.to_columns()``
-    once and share it between the content hash, the meta columns index,
-    and seed-directory discovery.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"repro-eval-cache-v2|")
-    digest.update(repr(float(prf.p)).encode("ascii"))
-    global_key = getattr(prf, "global_key", None)
-    digest.update(b"|key|" + (global_key if global_key is not None else b"<none>"))
-    _update_algorithm(digest, prf)
-    for subset, column in sorted(columns.items()):
-        digest.update(b"|B|" + ",".join(str(i) for i in subset).encode("ascii"))
-        # Length-prefix every id: ids may themselves contain NULs (the
-        # on-disk format round-trips them), so a bare separator join
-        # would let distinct id columns collide.
-        digest.update(b"|ids|")
-        for user_id in column.user_ids:
-            encoded = user_id.encode("utf-8")
-            digest.update(len(encoded).to_bytes(4, "big") + encoded)
-        digest.update(b"|keys|" + np.ascontiguousarray(column.keys).tobytes())
-        digest.update(b"|bits|" + np.ascontiguousarray(column.num_bits).tobytes())
-    return digest.hexdigest()
-
-
-def _update_algorithm(digest, prf) -> None:
-    """Fold a non-default PRF construction into an identity digest.
-
-    The PRF *identity* is (bias, key, construction): a
-    :class:`~repro.core.prf.CounterPRF` under some key is a different
-    function from a :class:`~repro.core.prf.BiasedPRF` under the same
-    key, so their caches must live in different directories.  BLAKE2b —
-    the construction every pre-existing cache directory was written
-    under — contributes nothing, keeping those directory names (and the
-    warm caches behind them) stable.
-    """
-    algorithm = getattr(prf, "algorithm", "blake2b")
-    if algorithm != "blake2b":
-        digest.update(b"|alg|" + str(algorithm).encode("ascii"))
-
-
-def _column_prefix_hash(prf, subset: Subset, column: SketchColumn, size: int) -> str:
-    """Hash of one column's first ``size`` rows under one PRF.
-
-    The per-column unit of :func:`store_content_hash`: everything a
-    cached ``(subset, value) -> bits`` vector over those rows depends on
-    (PRF identity included, so a directory written under a different
-    global key can never seed this one).  Because store columns are
-    append-only, a grown store whose prefix hashes to an old directory's
-    recorded value can soundly treat that directory's entries as
-    prefixes of its own columns.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"repro-eval-cache-column-v2|")
-    digest.update(repr(float(prf.p)).encode("ascii"))
-    global_key = getattr(prf, "global_key", None)
-    digest.update(b"|key|" + (global_key if global_key is not None else b"<none>"))
-    _update_algorithm(digest, prf)
-    digest.update(b"|B|" + ",".join(str(i) for i in subset).encode("ascii"))
-    digest.update(b"|ids|")
-    for user_id in column.user_ids[:size]:
-        encoded = user_id.encode("utf-8")
-        digest.update(len(encoded).to_bytes(4, "big") + encoded)
-    digest.update(b"|keys|" + np.ascontiguousarray(column.keys[:size]).tobytes())
-    digest.update(b"|bits|" + np.ascontiguousarray(column.num_bits[:size]).tobytes())
-    return digest.hexdigest()
-
-
-class SketchEvaluationCache:
-    """Per-store ``(subset, value) -> bits`` evaluation cache.
-
-    Stores are append-only per subset, so a cached vector is either
-    current or a strict prefix of the current column; repeated queries
-    (streaming dashboards, SuLQ free mode, privacy-audit workloads) never
-    re-hash, and growth only costs evaluating the newly-published tail.
-    Cache misses for several values of one subset resolve in a single PRF
-    block call.
-
-    With ``cache_dir`` the cache is **persistent**: every computed column
-    is spilled as a bit-packed ``.npy`` file under
-    ``cache_dir/store-<content-hash>/`` and unpacked on readback, so a
-    restarted process — or a sibling worker process pointed at the same
-    directory — reuses PRF evaluations instead of recomputing them.  The
-    directory is keyed by :func:`store_content_hash`, so a cache written
-    for a different store (or a different PRF) can never be silently
-    reused: a stale store lands in a different directory, and a tampered
-    directory whose recorded hash disagrees with the current store is
-    rejected with :class:`ValueError`.  Persistence requires a
-    :attr:`~repro.core.prf.BiasedFunction.stateless` PRF — a memoising
-    oracle's bits are not a pure function of the store, so sharing them
-    across processes would be wrong.
-
-    On-disk entries are **bit-packed** (``np.packbits`` behind an 8-byte
-    length header — 8x smaller than the int8 columns of cache version 1)
-    and the directory honours an optional **size budget**:
-    ``cache_budget_bytes`` caps the total entry bytes, enforced by an
-    LRU sweep over entry mtimes after each write batch (read recency is
-    recorded in-process and flushed to entry mtimes just before each
-    eviction decision, meta.json is never swept, and POSIX unlink keeps
-    any concurrently-open entry readable).  ``cache_budget_bytes=0``
-    disables persistence entirely — no directory is created or read.
-    ``meta.json`` additionally records a per-column prefix-hash index;
-    when a *grown* store (append-only tail extension, possibly with new
-    subsets) hashes to a fresh directory, sibling ``store-*`` directories
-    whose recorded column hashes match a prefix of the current columns
-    **seed** the fresh directory: their entries are read as prefixes,
-    tail-extended with one PRF call, and re-spilled at full length.
-    Sibling columns whose recorded hash mismatches (different PRF,
-    different users, tampering) are refused.  ``stats`` counts cache
-    ``hits`` / ``misses`` (per distinct requested value) and sweep
-    activity (``sweeps`` / ``swept_entries`` / ``swept_bytes``).
-
-    Two further budgets bound the cache's other growth axes:
-
-    * ``memory_budget_bytes`` caps the **in-process** ``_bits`` dict the
-      same way ``cache_budget_bytes`` caps the directory: entries are
-      kept in LRU order and evicted past the cap (``memory_evictions`` /
-      ``memory_evicted_bytes`` in ``stats``), so a pathological query
-      stream sweeping endless distinct ``(subset, value)`` pairs runs in
-      bounded memory — evicted columns are re-read from disk or
-      re-evaluated, never answered differently.  ``None`` (default)
-      keeps the historical unbounded behaviour.
-    * ``generation_ttl_seconds`` opts into **generation GC**: superseded
-      sibling ``store-*`` directories (older store generations this
-      directory no longer needs) whose newest content is older than the
-      TTL are deleted at construction time (``gc_directories`` /
-      ``gc_bytes`` in ``stats``).  The live generation is never
-      reclaimed.  ``None`` (default) never deletes sibling directories.
-    """
-
-    def __init__(
-        self,
-        store: SketchStore,
-        estimator: SketchEstimator,
-        cache_dir: str | os.PathLike | None = None,
-        cache_budget_bytes: int | None = None,
-        memory_budget_bytes: int | None = None,
-        generation_ttl_seconds: float | None = None,
-    ) -> None:
-        self.store = store
-        self.estimator = estimator
-        # In-process mutex guarding all mutable bookkeeping (_bits,
-        # stats, recency sets, disk writes).  PRF block evaluations run
-        # OUTSIDE it — the kernel tier releases the GIL, so concurrent
-        # cold queries genuinely overlap on multiple cores; two threads
-        # missing the same column may both compute it, but the results
-        # are deterministic and bit-identical, so last-writer-wins
-        # inserts never change an answer.
-        self._mutex = threading.RLock()
-        # Insertion order doubles as recency order (entries are re-inserted
-        # on every hit when a memory budget is set), so the dict is the LRU.
-        self._bits: dict[Tuple[Subset, Tuple[int, ...]], np.ndarray] = {}
-        self._bits_bytes = 0
-        self._dir: str | None = None
-        self._column_sizes: dict[Subset, int] = {}
-        self._seed_dirs: List[Tuple[str, dict[Subset, int]]] = []
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "sweeps": 0,
-            "swept_entries": 0,
-            "swept_bytes": 0,
-            "memory_evictions": 0,
-            "memory_evicted_bytes": 0,
-            "gc_directories": 0,
-            "gc_bytes": 0,
-        }
-        self._dirty = False  # disk writes since the last budget sweep
-        self._used_since_sweep: set = set()  # entry recency, flushed at sweep
-        self._prefix_hashes: dict[Tuple[Subset, int], str] = {}
-        self._budget: int | None = None
-        self._memory_budget: int | None = None
-        if memory_budget_bytes is not None:
-            memory_budget_bytes = int(memory_budget_bytes)
-            if memory_budget_bytes < 0:
-                raise ValueError(
-                    f"memory_budget_bytes must be >= 0, got {memory_budget_bytes}"
-                )
-            self._memory_budget = memory_budget_bytes
-        if generation_ttl_seconds is not None:
-            generation_ttl_seconds = float(generation_ttl_seconds)
-            if generation_ttl_seconds < 0:
-                raise ValueError(
-                    f"generation_ttl_seconds must be >= 0, got {generation_ttl_seconds}"
-                )
-        self._generation_ttl = generation_ttl_seconds
-        if cache_budget_bytes is not None:
-            cache_budget_bytes = int(cache_budget_bytes)
-            if cache_budget_bytes < 0:
-                raise ValueError(
-                    f"cache_budget_bytes must be >= 0, got {cache_budget_bytes}"
-                )
-            if cache_budget_bytes == 0:
-                # Budget 0 = persistence off: the in-memory cache still
-                # works, but nothing is created, read, or written on disk.
-                cache_dir = None
-            elif cache_dir is not None:
-                # A budget without a directory would only accumulate
-                # recency bookkeeping nothing ever flushes.
-                self._budget = cache_budget_bytes
-        if cache_dir is not None:
-            if not self.estimator.prf.stateless:
-                raise ValueError(
-                    f"persistent caching needs a stateless PRF; "
-                    f"{type(self.estimator.prf).__name__} memoises draws "
-                    "in-process, so its evaluations cannot be shared across "
-                    "processes or restarts"
-                )
-            # One column snapshot shared by the content hash, the meta
-            # columns index, and seed discovery.
-            columns = store.to_columns()
-            store_hash = _content_hash_from_columns(columns, self.estimator.prf)
-            root = os.fspath(cache_dir)
-            self._dir = os.path.join(root, f"store-{store_hash}")
-            os.makedirs(self._dir, exist_ok=True)
-            self._validate_or_write_meta(store_hash, columns)
-            # Snapshot of the column sizes the hash was computed over:
-            # if the store grows afterwards the in-memory tail extension
-            # stays correct, but the directory no longer describes the
-            # store, so writes are suppressed (reads were full columns
-            # taken before the growth, i.e. valid prefixes).
-            self._column_sizes = {
-                subset: len(column.user_ids) for subset, column in columns.items()
-            }
-            self._seed_dirs = self._discover_seed_dirs(root, columns)
-            # Generation GC runs after seed discovery because *seedable*
-            # is what "superseded" means: a sibling whose columns are
-            # validated prefixes of ours is an older generation of this
-            # same store.  Unrelated stores sharing the cache root are
-            # never candidates — their live directories must survive any
-            # TTL.
-            if self._generation_ttl is not None:
-                self._sweep_generations()
-
-    # ------------------------------------------------------------------
-    # In-memory LRU layer
-    # ------------------------------------------------------------------
-    def _remember(self, key: Tuple[Subset, Tuple[int, ...]], bits: np.ndarray) -> None:
-        """Insert one column into the in-process cache, evicting LRU
-        entries past the memory budget.
-
-        With no budget the dict grows unboundedly (the pre-existing
-        behaviour); with one, total cached bytes stay at or under it —
-        evicted columns are simply re-read from disk or re-evaluated on
-        their next use, so eviction never changes an answer.
-        """
-        previous = self._bits.pop(key, None)
-        if previous is not None:
-            self._bits_bytes -= previous.nbytes
-        budget = self._memory_budget
-        if budget is not None and bits.nbytes > budget:
-            # A column that alone exceeds the budget is served but never
-            # retained — retaining it would evict everything else first
-            # and still violate the cap.
-            self.stats["memory_evictions"] += 1
-            self.stats["memory_evicted_bytes"] += int(bits.nbytes)
-            return
-        self._bits[key] = bits
-        self._bits_bytes += bits.nbytes
-        if budget is None:
-            return
-        while self._bits_bytes > budget:
-            old_key = next(iter(self._bits))
-            evicted = self._bits.pop(old_key)
-            self._bits_bytes -= evicted.nbytes
-            self.stats["memory_evictions"] += 1
-            self.stats["memory_evicted_bytes"] += int(evicted.nbytes)
-
-    def _touch(self, key: Tuple[Subset, Tuple[int, ...]]) -> None:
-        """Refresh one entry's LRU recency (dict order = recency order)."""
-        if self._memory_budget is None:
-            return
-        cached = self._bits.pop(key, None)
-        if cached is not None:
-            self._bits[key] = cached
-
-    # ------------------------------------------------------------------
-    # Persistent layer
-    # ------------------------------------------------------------------
-    def _sweep_generations(self) -> None:
-        """Reclaim superseded predecessor directories past the TTL.
-
-        Every store growth leaves the previous generation's directory
-        behind as a sibling — useful briefly (the fresh directory seeds
-        its columns from it) but dead weight once re-spilled.  With
-        ``generation_ttl_seconds`` set, *seedable* siblings (validated
-        predecessors of this store, per :meth:`_discover_seed_dirs` —
-        unrelated stores sharing the cache root never qualify) whose
-        newest content (meta or entry, by mtime — reads refresh entry
-        mtimes under a budget) is older than the TTL are deleted whole
-        and dropped from the seed list.  The live generation — this
-        cache's own directory — is never a candidate, and removal is
-        best-effort: a directory a concurrent process is mid-write on
-        simply survives to the next sweep.
-
-        The TTL is the operator's promise that no live process still
-        serves — and no fresh generation still wants to seed from — a
-        directory that old: a long-lived engine on the old store whose
-        reads never touch disk (no byte budget, so no mtime refresh) can
-        have its directory reclaimed under it — it degrades gracefully
-        (``_atomic_write`` recreates the directory and re-spills;
-        answers never change) but loses its warm entries — and an
-        expired predecessor is reclaimed *without* first migrating its
-        entries (entry filenames are opaque hashes, so they cannot be
-        safely attributed to a validated subset without the query that
-        names them; a grown store restarting after a gap longer than the
-        TTL therefore recomputes cold).  Cross-process coordination
-        (lock file / refcount) is a ROADMAP item; until then pick a TTL
-        longer than any reader's idle span and any expected downtime.
-        """
-        assert self._dir is not None and self._generation_ttl is not None
-        deadline = time.time() - self._generation_ttl
-        survivors: List[Tuple[str, dict[Subset, int]]] = []
-        for seed_dir, seedable in self._seed_dirs:
-            newest = 0.0
-            total_bytes = 0
-            try:
-                with os.scandir(seed_dir) as it:
-                    for item in it:
-                        stat = item.stat()
-                        newest = max(newest, stat.st_mtime)
-                        total_bytes += stat.st_size
-            except OSError:
-                survivors.append((seed_dir, seedable))
-                continue
-            if newest > deadline:
-                survivors.append((seed_dir, seedable))
-                continue
-            shutil.rmtree(seed_dir, ignore_errors=True)
-            if os.path.exists(seed_dir):
-                survivors.append((seed_dir, seedable))
-            else:
-                self.stats["gc_directories"] += 1
-                self.stats["gc_bytes"] += total_bytes
-        self._seed_dirs = survivors
-
-    def _validate_or_write_meta(self, store_hash: str, store_columns: dict) -> None:
-        assert self._dir is not None
-        meta_path = os.path.join(self._dir, "meta.json")
-        if os.path.exists(meta_path):
-            try:
-                with open(meta_path, "r", encoding="utf-8") as handle:
-                    meta = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValueError(
-                    f"corrupt evaluation-cache directory {self._dir}: "
-                    f"unreadable meta.json ({exc})"
-                ) from exc
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != _CACHE_FORMAT
-                or meta.get("version") != _CACHE_VERSION
-                or meta.get("store_hash") != store_hash
-            ):
-                raise ValueError(
-                    f"evaluation-cache directory {self._dir} was written for a "
-                    f"different store or format (recorded hash "
-                    f"{meta.get('store_hash') if isinstance(meta, dict) else meta!r} "
-                    f"version {meta.get('version') if isinstance(meta, dict) else '?'}, "
-                    f"expected hash {store_hash} version {_CACHE_VERSION}); "
-                    "refusing to reuse it — delete the directory to recompute"
-                )
-            return
-        # The per-column prefix-hash index: a future cache for a *grown*
-        # store consults it to decide whether this directory's entries
-        # are valid prefixes of its own columns (sound because store
-        # columns are append-only).
-        columns = {
-            ",".join(str(i) for i in subset): {
-                "size": len(column.user_ids),
-                "hash": self._prefix_hash(subset, column, len(column.user_ids)),
-            }
-            for subset, column in store_columns.items()
-        }
-        meta = {
-            "format": _CACHE_FORMAT,
-            "version": _CACHE_VERSION,
-            "store_hash": store_hash,
-            "p": float(self.estimator.params.p),
-            "columns": columns,
-        }
-        self._atomic_write(meta_path, json.dumps(meta).encode("utf-8"))
-
-    def _prefix_hash(self, subset: Subset, column: SketchColumn, size: int) -> str:
-        """Memoised :func:`_column_prefix_hash` — columns are append-only
-        and the PRF is fixed per cache, so ``(subset, size)`` is a
-        sufficient key; meta creation and every sibling-directory probe
-        share one hashing pass per distinct prefix length."""
-        memo_key = (subset, size)
-        cached = self._prefix_hashes.get(memo_key)
-        if cached is None:
-            cached = _column_prefix_hash(self.estimator.prf, subset, column, size)
-            self._prefix_hashes[memo_key] = cached
-        return cached
-
-    def _discover_seed_dirs(
-        self, root: str, store_columns: dict
-    ) -> List[Tuple[str, dict[Subset, int]]]:
-        """Sibling ``store-*`` directories whose columns are validated
-        prefixes of this store's columns.
-
-        For every sibling directory, every subset whose recorded
-        ``(size, hash)`` matches :func:`_column_prefix_hash` over the
-        current column's first ``size`` rows becomes seedable from that
-        directory; mismatching columns (different PRF or users,
-        tampering) and unreadable/foreign metas are refused silently —
-        unrelated stores sharing one cache root are the normal case, not
-        an error.
-        """
-        assert self._dir is not None
-        seeds: List[Tuple[str, dict[Subset, int]]] = []
-        own = os.path.basename(self._dir)
-        try:
-            entries = sorted(
-                (e for e in os.scandir(root) if e.name.startswith("store-")),
-                key=lambda e: e.name,
-            )
-        except OSError:
-            return seeds
-        candidates = [e for e in entries if e.name != own and e.is_dir()]
-        if not candidates:
-            return seeds
-        current = store_columns
-        for candidate in candidates:
-            try:
-                with open(
-                    os.path.join(candidate.path, "meta.json"), "r", encoding="utf-8"
-                ) as handle:
-                    meta = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != _CACHE_FORMAT
-                or meta.get("version") != _CACHE_VERSION
-                or not isinstance(meta.get("columns"), dict)
-            ):
-                continue
-            seedable: dict[Subset, int] = {}
-            for subset, column in current.items():
-                record = meta["columns"].get(",".join(str(i) for i in subset))
-                if not isinstance(record, dict):
-                    continue
-                size, recorded = record.get("size"), record.get("hash")
-                if not isinstance(size, int) or not isinstance(recorded, str):
-                    continue
-                if not 0 < size <= len(column.user_ids):
-                    continue
-                if self._prefix_hash(subset, column, size) != recorded:
-                    continue
-                seedable[subset] = size
-            if seedable:
-                seeds.append((candidate.path, seedable))
-        return seeds
-
-    def _atomic_write(self, path: str, payload: bytes) -> None:
-        """Write-then-rename so sibling processes never see partial files.
-
-        The directory is recreated if missing: a sibling process's
-        generation GC may reclaim this directory while this engine is
-        live (its TTL only sees mtimes, and reads refresh them only
-        under a byte budget), and the correct degradation is to re-spill
-        into a fresh directory, not to crash the query that happened to
-        write next.
-        """
-        assert self._dir is not None
-        try:
-            fd, tmp_path = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-        except FileNotFoundError:
-            os.makedirs(self._dir, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-
-    def _entry_path(self, subset: Subset, value: Tuple[int, ...]) -> str:
-        assert self._dir is not None
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(",".join(str(i) for i in subset).encode("ascii"))
-        # Values reaching here were validated as strict 0/1 bits — masking
-        # would let a malformed value collide with a genuine one.
-        digest.update(b"|v|" + bytes(int(bit) for bit in value))
-        return os.path.join(self._dir, f"{digest.hexdigest()}.npy")
-
-    @staticmethod
-    def _pack_entry(bits: np.ndarray) -> bytes:
-        """Serialized packed entry: ``.npy`` of uint8 = length header + packbits."""
-        column = np.ascontiguousarray(bits, dtype=np.int8)
-        header = np.frombuffer(
-            int(column.size).to_bytes(_ENTRY_HEADER_BYTES, "little"), dtype=np.uint8
-        )
-        packed = np.packbits(column.view(np.uint8))
-        buffer = io.BytesIO()
-        np.save(buffer, np.concatenate([header, packed]))
-        return buffer.getvalue()
-
-    def _read_entry(
-        self, path: str, max_bits: int, subset: Subset, strict: bool
-    ) -> np.ndarray | None:
-        """Decode one packed entry file into an int8 column, or ``None``.
-
-        ``strict`` governs anomalies: entries in the cache's own
-        directory raise :class:`ValueError` (corruption/staleness under
-        the right hash must be loud), entries in best-effort *seed*
-        directories are skipped quietly.
-        """
-
-        def reject(reason: str) -> np.ndarray | None:
-            if strict:
-                raise ValueError(f"{reason} evaluation-cache entry {path}")
-            return None
-
-        # Eager read, descriptor closed immediately: the unpack below
-        # materialises a fresh int8 column regardless, so a memmap would
-        # only pin an fd without saving a copy (packed payloads are
-        # num_users/8 bytes — 8MB even at 64M users).
-        try:
-            handle = open(path, "rb")
-        except OSError:
-            return None
-        try:
-            with handle:
-                raw = np.load(handle, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            if strict:
-                raise ValueError(
-                    f"corrupt evaluation-cache entry {path}: {exc}"
-                ) from exc
-            return None
-        if raw.ndim != 1 or raw.dtype != np.uint8 or raw.size < _ENTRY_HEADER_BYTES:
-            return reject("corrupt (not a packed uint8 column)")
-        num_bits = int.from_bytes(raw[:_ENTRY_HEADER_BYTES].tobytes(), "little")
-        if raw.size != _ENTRY_HEADER_BYTES + (num_bits + 7) // 8:
-            return reject(f"corrupt (payload does not match {num_bits} packed bits)")
-        if num_bits > max_bits:
-            if strict:
-                raise ValueError(
-                    f"stale evaluation-cache entry {path}: holds {num_bits} "
-                    f"evaluations but the store has only {max_bits} sketches "
-                    f"for subset {subset}; refusing to reuse it"
-                )
-            return None
-        unpacked = np.unpackbits(
-            np.asarray(raw[_ENTRY_HEADER_BYTES:], dtype=np.uint8), count=num_bits
-        )
-        return unpacked.astype(np.int8)
-
-    def _disk_get(
-        self, subset: Subset, value: Tuple[int, ...], num_users: int
-    ) -> np.ndarray | None:
-        """Cached column from this directory or a validated seed, or ``None``."""
-        if self._dir is None:
-            return None
-        path = self._entry_path(subset, value)
-        column = self._read_entry(path, num_users, subset, strict=True)
-        if column is not None:
-            return column
-        entry_name = os.path.basename(path)
-        for seed_dir, seedable in self._seed_dirs:
-            limit = seedable.get(subset)
-            if limit is None:
-                continue
-            seeded = self._read_entry(
-                os.path.join(seed_dir, entry_name), limit, subset, strict=False
-            )
-            if seeded is not None:
-                # A validated prefix of the current column.  A strict
-                # prefix is tail-extended by the caller and re-spilled at
-                # full length; an already-full column (growth added only
-                # new subsets) is re-spilled here, so this directory
-                # never stays dependent on the seed's survival.  The
-                # seed directory itself is never written to.
-                if seeded.size == num_users:
-                    self._disk_put(subset, value, seeded)
-                return seeded
-        return None
-
-    def _disk_put(self, subset: Subset, value: Tuple[int, ...], bits: np.ndarray) -> None:
-        if self._dir is None:
-            return
-        # The store grew past the hashed snapshot: the directory name no
-        # longer describes this store, so stop persisting into it.
-        if self.store.num_users(subset) != self._column_sizes.get(subset):
-            return
-        self._atomic_write(self._entry_path(subset, value), self._pack_entry(bits))
-        # Sweeping is deferred to the end of the bits() batch: a cold
-        # wide marginal writes up to 2**12 entries in one call, and a
-        # directory scan per write would be quadratic in stat calls.
-        self._dirty = True
-
-    def _sweep(self) -> None:
-        """Evict least-recently-used entries until the directory fits the
-        budget.
-
-        mtime ascending = least recently touched first (reads refresh it
-        under a budget).  ``meta.json`` and in-flight ``.tmp`` files are
-        never candidates, and eviction is a plain ``unlink`` — an entry a
-        sibling process already opened (or memory-mapped) stays readable
-        until it drops the handle; only future opens miss.
-        """
-        if self._dir is None or self._budget is None:
-            return
-        # Flush this process's read recency to entry mtimes *before*
-        # deciding what to evict — hits are recorded as cheap set adds on
-        # the hot path and paid as syscalls only here, so the eviction
-        # order is true LRU with respect to everything this cache served
-        # since the previous sweep.
-        for used_key in self._used_since_sweep:
-            try:
-                os.utime(self._entry_path(*used_key))
-            except OSError:
-                pass
-        self._used_since_sweep.clear()
-        entries = []
-        try:
-            with os.scandir(self._dir) as it:
-                for entry in it:
-                    if not entry.name.endswith(".npy"):
-                        continue
-                    try:
-                        stat = entry.stat()
-                    except OSError:
-                        continue
-                    entries.append((stat.st_mtime_ns, entry.name, entry.path, stat.st_size))
-        except OSError:
-            return
-        total = sum(size for _, _, _, size in entries)
-        if total <= self._budget:
-            return
-        self.stats["sweeps"] += 1
-        for _, _, path, size in sorted(entries):
-            if total <= self._budget:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            self.stats["swept_entries"] += 1
-            self.stats["swept_bytes"] += size
-
-    _LOCK_FILENAME = ".sweep-lock"
-
-    @contextlib.contextmanager
-    def _sweep_lock(self):
-        """Serialize sibling writers' [write-batch + sweep] critical sections.
-
-        With a byte budget, each ``bits()`` batch ends in an LRU sweep
-        whose eviction decision scans the whole directory; two sibling
-        processes (e.g. shard workers sharing one ``cache_budget_bytes``)
-        interleaving writes *after* each other's scans could both leave
-        the directory over budget with nobody left to notice.  An
-        exclusive ``flock`` on a lock file, held for the duration of the
-        batch, makes [writes + sweep] atomic across processes: the last
-        critical section to run sees every entry, so the budget is a
-        hard invariant once the writers exit — at the price of sibling
-        writers serializing their batches.  The lock file itself is
-        never an eviction candidate (the sweep only considers ``*.npy``)
-        and the protocol degrades to the old per-process soft budget
-        where ``flock`` is unavailable.
-        """
-        if self._dir is None or self._budget is None or fcntl is None:
-            yield
-            return
-        path = os.path.join(self._dir, self._LOCK_FILENAME)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
-        except FileNotFoundError:
-            # The directory was removed out from under us; recreate it,
-            # matching _atomic_write's contract.
-            os.makedirs(self._dir, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # closing the descriptor releases the flock
-
-    def bits(self, subset: Subset, values: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
-        """Per-user virtual bit vectors for several values of one subset.
-
-        Each vector is bitwise identical to
-        ``estimator.evaluations(store.sketches_for(subset), value)``.
-        """
-        for value in values:
-            if len(value) != len(subset):
-                raise ValueError(
-                    f"value length {len(value)} does not match subset size {len(subset)}"
-                )
-            # Strict 0/1 validation up front: entry paths hash the value
-            # bytes, so a masked bit would alias two distinct queries.
-            validate_value_bits(value)
-        with self._sweep_lock():
-            return self._bits_batch(subset, values)
-
-    def _bits_batch(
-        self, subset: Subset, values: Sequence[Tuple[int, ...]]
-    ) -> List[np.ndarray]:
-        """One batch in three phases: classify under the mutex, evaluate
-        the PRF outside it, publish under the mutex again.
-
-        The expensive middle phase (the block PRF calls — GIL-released
-        in the compiled kernel tier) holds no lock, so concurrent cold
-        batches from a serving thread pool overlap on multiple cores.
-        Two threads missing the same ``(subset, value)`` both compute
-        it; the columns are deterministic and bit-identical, so the
-        duplicate insert is wasted work, never a wrong answer.
-        """
-        num_users = self.store.num_users(subset)
-        # The store column feeds the PRF directly — the query hot path
-        # never materialises per-Sketch records (store format v2) — but
-        # it is only fetched when a miss or tail extension needs it: the
-        # all-hit path answers from the cache in O(values).
-        store_column = None
-
-        def column() -> SketchColumn:
-            nonlocal store_column
-            if store_column is None:
-                store_column = self.store.column_for(subset)
-            return store_column
-
-        resolved: dict[Tuple[int, ...], np.ndarray] = {}
-        misses: List[Tuple[int, ...]] = []
-        # Prefix entries grouped by prefix length, so each distinct tail
-        # resolves in ONE block call covering every affected value (a
-        # store seeded from an older cache generation hits this path for
-        # every entry at once).
-        extensions: dict[int, List[Tuple[Tuple[int, ...], np.ndarray]]] = {}
-        seen: set = set()
-        with self._mutex:
-            for value in values:
-                if value in seen:
-                    continue
-                seen.add(value)
-                cached = self._bits.get((subset, value))
-                if cached is None:
-                    cached = self._disk_get(subset, value, num_users)
-                    if cached is not None:
-                        self._remember((subset, value), cached)
-                else:
-                    self._touch((subset, value))
-                if cached is not None and cached.size == num_users:
-                    self.stats["hits"] += 1
-                    if self._budget is not None:
-                        # Recency for the LRU sweep: recorded in-process here
-                        # (a set add — the warm hot path makes no syscalls)
-                        # and flushed to entry mtimes when a sweep runs.
-                        self._used_since_sweep.add((subset, value))
-                    resolved[value] = cached
-                elif cached is not None and 0 < cached.size < num_users:
-                    # A valid prefix (in-memory store growth, or a column
-                    # seeded from an older directory): reused, so a hit —
-                    # only the newly-published tail costs PRF work, batched
-                    # per prefix length below.
-                    self.stats["hits"] += 1
-                    extensions.setdefault(cached.size, []).append((value, cached))
-                else:
-                    self.stats["misses"] += 1
-                    misses.append(value)
-        # -- PRF work, no lock held ------------------------------------
-        tails: List[Tuple[int, List[Tuple[Tuple[int, ...], np.ndarray]], np.ndarray]] = []
-        for prefix_size, group in extensions.items():
-            tail_block = self.estimator.evaluations_block_columns(
-                subset,
-                column().user_ids[prefix_size:],
-                column().keys[prefix_size:],
-                [value for value, _ in group],
-            )
-            tails.append((prefix_size, group, tail_block))
-        block = None
-        if misses:
-            block = self.estimator.evaluations_block_columns(
-                subset, column().user_ids, column().keys, misses
-            )
-        # -- publish ----------------------------------------------------
-        with self._mutex:
-            for _prefix_size, group, tail_block in tails:
-                for j, (value, cached) in enumerate(group):
-                    grown = np.concatenate([cached, tail_block[:, j]])
-                    self._remember((subset, value), grown)
-                    resolved[value] = grown
-                    self._disk_put(subset, value, grown)
-            if block is not None:
-                for j, value in enumerate(misses):
-                    column_bits = np.ascontiguousarray(block[:, j])
-                    self._remember((subset, value), column_bits)
-                    resolved[value] = column_bits
-                    self._disk_put(subset, value, column_bits)
-            if self._dirty:
-                self._sweep()
-                self._dirty = False
-        return [resolved[value] for value in values]
-
-    def estimates(
-        self, subset: Subset, values: Sequence[Tuple[int, ...]], delta: float = 0.05
-    ) -> List[QueryEstimate]:
-        """Algorithm 2 estimates for many values, through the cache."""
-        return [
-            self.estimator.estimate_from_bits(bits, delta=delta)
-            for bits in self.bits(subset, values)
-        ]
-
-    def entries_snapshot(self) -> dict:
-        """Copy of every *full-length* in-memory entry, keyed
-        ``(subset, value)``.
-
-        The warm-handoff export surface for live rebalancing: a donor
-        shard carves these columns row-wise at the range boundary and
-        ships the moving slice alongside the handoff store, so the
-        recipient starts warm.  Prefix entries (store grew since they
-        were cached) are skipped — a carved prefix would misalign
-        against the handoff columns.
-        """
-        with self._mutex:
-            return {
-                key: bits.copy()
-                for key, bits in self._bits.items()
-                if bits.size == self.store.num_users(key[0])
-            }
-
-    def seed_entry(
-        self, subset: Subset, value: Tuple[int, ...], bits: np.ndarray
-    ) -> None:
-        """Install one precomputed full column (the warm-handoff import).
-
-        The inverse of :meth:`entries_snapshot`: a worker adopting or
-        shedding a user range seeds its rebuilt cache with the carried
-        slices, then re-spills them to disk so a later watchdog restart
-        rejoins warm.  The column must cover the store's current
-        ``num_users`` exactly — carried state is never allowed to alias
-        a differently-sized column.
-        """
-        bits = np.ascontiguousarray(np.asarray(bits))
-        expected = self.store.num_users(subset)
-        if bits.size != expected:
-            raise ValueError(
-                f"seeded column for subset {subset} holds {bits.size} "
-                f"evaluations but the store has {expected}"
-            )
-        with self._sweep_lock():
-            with self._mutex:
-                self._remember((tuple(subset), tuple(value)), bits)
-                self._disk_put(tuple(subset), tuple(value), bits)
-                if self._dirty:
-                    self._sweep()
-                    self._dirty = False
-
-    def info(self) -> Tuple[int, int]:
-        """(entries, cached evaluations) currently held."""
-        return len(self._bits), sum(bits.size for bits in self._bits.values())
-
 
 
 class QueryEngine(QueryCore):

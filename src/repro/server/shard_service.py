@@ -322,7 +322,7 @@ class ShardedService:
     def _collect_cache_state(self) -> Optional[dict]:
         """Per-shard cache-generation metadata, or ``None`` when caching
         is off.  A *generation* is one ``store-<hash>/`` directory the
-        worker's :class:`~repro.server.engine.SketchEvaluationCache`
+        worker's :class:`~repro.server.evaluation_cache.SketchEvaluationCache`
         populated; recording them alongside the shard map is what lets a
         recovered supervisor prove its workers rejoined warm."""
         if not self._cache:

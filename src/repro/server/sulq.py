@@ -33,7 +33,7 @@ from ..core.estimator import SketchEstimator
 from ..core.sketch import Sketcher
 from ..data.profiles import ProfileDatabase
 from .collector import SketchStore, publish_database
-from .engine import SketchEvaluationCache
+from .evaluation_cache import SketchEvaluationCache
 
 __all__ = ["QueryBudgetExhausted", "QueryRecord", "SulqServer", "DualModeServer"]
 

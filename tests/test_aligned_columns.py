@@ -40,7 +40,7 @@ from repro.server import (
     SketchStore,
     publish_database,
 )
-from repro.server.engine import store_content_hash
+from repro.server.evaluation_cache import store_content_hash
 from repro.server.query_core import QueryCore, project_value
 from repro.server.serialization import dumps_store, loads_store
 

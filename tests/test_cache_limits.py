@@ -11,7 +11,7 @@ import pytest
 from repro.core import BiasedPRF, PrivacyParams, Sketch, SketchEstimator, Sketcher
 from repro.data import bernoulli_panel
 from repro.server import QueryEngine, SketchStore, publish_database
-from repro.server.engine import SketchEvaluationCache
+from repro.server.evaluation_cache import SketchEvaluationCache
 
 from .conftest import GLOBAL_KEY
 
@@ -238,7 +238,7 @@ class TestCrossProcessBudget:
     def test_two_writers_never_leave_directory_over_budget(self, tmp_path):
         import multiprocessing
 
-        from repro.server.engine import fcntl as engine_fcntl
+        from repro.server.evaluation_cache import fcntl as engine_fcntl
 
         if engine_fcntl is None:
             pytest.skip("no fcntl: cross-process sweep locking unavailable")

@@ -48,7 +48,7 @@ from repro.server import (
     save_store,
 )
 from repro.server.collector import SketchColumn
-from repro.server.engine import store_content_hash
+from repro.server.evaluation_cache import store_content_hash
 
 from .conftest import GLOBAL_KEY
 

@@ -30,7 +30,7 @@ from repro.core.philox import (
 )
 from repro.data import bernoulli_panel
 from repro.server import QueryEngine, publish_database
-from repro.server.engine import store_content_hash
+from repro.server.evaluation_cache import store_content_hash
 
 from .conftest import GLOBAL_KEY
 
