@@ -39,6 +39,8 @@ code maps back to (:class:`BudgetExceeded`, ``MissingSketchError``,
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -122,10 +124,30 @@ ERROR_CODES = (
 # Field coercion helpers (shared by build() and from_body())
 # ----------------------------------------------------------------------
 def _int_tuple(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """A sequence of integers, exactly as sent.
+
+    Only true integers pass (``operator.index``: Python and NumPy ints,
+    never a bool), in a list-like container (never a string, bytes or a
+    mapping), so no malformed field is coerced into a different, valid
+    query — the perimeter charges, and the memo keys on, what was sent.
+    """
     try:
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
+        if not isinstance(values, (list, tuple)):
+            if isinstance(values, (str, bytes, bytearray, Mapping)):
+                raise TypeError(
+                    f"expected a list of integers, got {type(values).__name__}"
+                )
+            values = tuple(values)
+        if bool in map(type, values):
+            raise TypeError("a bool is not an integer")
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
         raise ProtocolError("malformed_request", f"malformed {what}: {exc}") from exc
+
+
+def _int(value: int, what: str) -> int:
+    """One integer field, under :func:`_int_tuple`'s rules."""
+    return _int_tuple((value,), what)[0]
 
 
 def _value_tuple(value: Sequence[int], width: int, what: str) -> Tuple[int, ...]:
@@ -341,11 +363,7 @@ class ExactlyLRequest(QueryRequest):
 
     @classmethod
     def build(cls, positions: Sequence[int], l: int) -> "ExactlyLRequest":
-        try:
-            l_int = int(l)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError("malformed_request", f"malformed l: {exc}") from exc
-        return cls(positions=_int_tuple(positions, "positions"), l=l_int)
+        return cls(positions=_int_tuple(positions, "positions"), l=_int(l, "l"))
 
     @classmethod
     def _from_body(cls, body: dict) -> "ExactlyLRequest":
@@ -366,11 +384,9 @@ class BitMatrixRequest(QueryRequest):
 
     @classmethod
     def build(cls, positions: Sequence[int], target: int = 1) -> "BitMatrixRequest":
-        try:
-            target_int = int(target)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError("malformed_request", f"malformed target: {exc}") from exc
-        return cls(positions=_int_tuple(positions, "positions"), target=target_int)
+        return cls(
+            positions=_int_tuple(positions, "positions"), target=_int(target, "target")
+        )
 
     @classmethod
     def _from_body(cls, body: dict) -> "BitMatrixRequest":

@@ -52,7 +52,7 @@ from ..queries.numeric import inner_product_plan, moment_plan, sum_plan
 from ..queries.virtual import addition_interval_fraction
 from .collector import AlignedColumns, SketchStore
 from .evaluation_cache import SketchEvaluationCache
-from .query_core import MEMO_ENTRIES, MissingSketchError, QueryCore
+from .query_core import MissingSketchError, QueryCore, SnapshotMemo
 
 __all__ = ["MissingSketchError", "QueryEngine"]
 
@@ -68,8 +68,9 @@ class QueryEngine(QueryCore):
 
     ``execute`` is thread-safe for **serving** (concurrent calls against
     a fixed store, as :class:`~repro.server.remote.RemoteServer`'s
-    dispatch pool issues them): the evaluation cache and the two memo
-    caches take internal locks around their bookkeeping while the PRF
+    dispatch pool issues them): the evaluation cache and the three memo
+    caches (partitions, aligned intersections, integer partials) take
+    internal locks around their bookkeeping while the PRF
     block work — GIL-released in the compiled kernel tier — runs outside
     them, and a stateless PRF plus deterministic columns make racing
     recomputation harmless.  Publishing into the store concurrently with
@@ -125,13 +126,10 @@ class QueryEngine(QueryCore):
             memory_budget_bytes=memory_budget_bytes,
             generation_ttl_seconds=generation_ttl_seconds,
         )
-        # Aligned intersections are pure functions of (subset tuple,
-        # column sizes) — store columns are append-only, so unchanged
-        # sizes mean unchanged columns.  Memoising them makes a warm
-        # multi-subset query pure gather + histogram.
-        self._aligned_cache: dict[
-            Tuple[Subset, ...], Tuple[Tuple[int, ...], AlignedColumns]
-        ] = {}
+        # Aligned intersections and integer partials, both valid while
+        # the participating column sizes are unchanged.
+        self._aligned = SnapshotMemo(self._memo_lock)
+        self._partials = SnapshotMemo(self._memo_lock)
 
     # ------------------------------------------------------------------
     # The in-process shard: catalog, gather, and the partial statistics
@@ -154,7 +152,29 @@ class QueryEngine(QueryCore):
         a zero partial (``num_users = 0``): whether a subset is missing
         *globally* is the caller's call against its full catalog.
         Matrix rows stay an int8 array; the wire lowers them to lists.
+
+        ``bit_sums`` and ``weight_counts`` answers are memoised per
+        ``(op, subsets, groups)`` until a participating column grows;
+        an entry holds only Python ints, and every call gets fresh
+        lists.  Matrix rows are O(M) and never memoised.
         """
+        if request.op == "matrix_rows":
+            return self._partial(request)
+        sizes = tuple(self.store.num_users(subset) for subset in request.subsets)
+        memo = self._partials.get(
+            (request.op, request.subsets, request.groups),
+            sizes,
+            lambda: self._partial(request),
+        )
+        if request.op == "bit_sums":
+            return {"num_users": memo["num_users"], "sums": list(memo["sums"])}
+        return {
+            "num_users": memo["num_users"],
+            "counts": [list(row) for row in memo["counts"]],
+        }
+
+    def _partial(self, request: ShardPartialRequest) -> dict:
+        """:meth:`partial` computed from the cached columns (no memo)."""
         if request.op == "bit_sums":
             subset = request.subsets[0]
             values = [group[0] for group in request.groups]
@@ -216,17 +236,7 @@ class QueryEngine(QueryCore):
         recomputed, never patched).
         """
         sizes = tuple(self.store.num_users(key) for key in keys)
-        with self._memo_lock:
-            cached = self._aligned_cache.get(keys)
-            if cached is not None and cached[0] == sizes:
-                return cached[1]
-        aligned = self.store.aligned_columns(keys)
-        # Bounded FIFO: each entry holds O(M) index/id references.
-        with self._memo_lock:
-            if len(self._aligned_cache) >= MEMO_ENTRIES and keys not in self._aligned_cache:
-                self._aligned_cache.pop(next(iter(self._aligned_cache)))
-            self._aligned_cache[keys] = (sizes, aligned)
-        return aligned
+        return self._aligned.get(keys, sizes, lambda: self.store.aligned_columns(keys))
 
     # ------------------------------------------------------------------
     # Section 4.1 conveniences (schema-level, compiled to plans)

@@ -33,7 +33,7 @@ client :class:`~repro.server.remote.RemoteQueryEngine`, share it.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "MissingSketchError",
     "QueryCore",
     "QuerySurface",
+    "SnapshotMemo",
     "project_value",
     "search_exact_cover",
 ]
@@ -75,10 +76,43 @@ __all__ = [
 Subset = Tuple[int, ...]
 
 #: Bound of every per-engine memo keyed by analyst input (partitions,
-#: aligned intersections): beyond it the oldest entry is dropped and
-#: simply recomputed on its next use, so a stream of distinct targets
-#: runs in bounded memory.
+#: aligned intersections, integer partials): beyond it the oldest entry
+#: is dropped and simply recomputed on its next use, so a stream of
+#: distinct targets runs in bounded memory.
 MEMO_ENTRIES = 64
+
+
+class SnapshotMemo:
+    """A bounded FIFO of computed values, each valid for one snapshot.
+
+    The query tier's memos cache a pure function of a key and of the
+    state it read, summarised as a snapshot (the catalog, or the
+    append-only column sizes).  An entry is reused only while its
+    snapshot compares equal; otherwise it is recomputed, never patched.
+    ``compute`` runs outside ``lock``, so racing threads at worst compute
+    twice.  Take the snapshot *before* the compute: a change during it
+    then leaves a stale snapshot, which forces a recompute.
+    """
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self._lock = lock
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any, snapshot: Any, compute: Callable[[], Any]) -> Any:
+        """The value for ``key`` at ``snapshot``, computing it on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == snapshot:
+                return entry[1]
+        value = compute()
+        with self._lock:
+            if len(self._entries) >= MEMO_ENTRIES and key not in self._entries:
+                self._entries.pop(next(iter(self._entries)))
+            self._entries[key] = (snapshot, value)
+        return value
 
 
 class MissingSketchError(KeyError):
@@ -227,18 +261,15 @@ class QueryCore(QuerySurface):
         user-range order.
 
     ``execute`` is safe to call from a serving thread pool: the one
-    mutable piece of state here, the partition memo, is guarded by
-    ``_memo_lock`` (subclasses guard their own memos with it too).
+    mutable piece of state here, the partition memo, is a
+    :class:`SnapshotMemo` under ``_memo_lock`` (subclasses build their
+    own memos on the same lock).
     """
 
     def __init__(self) -> None:
-        # Exact-cover partitions are pure functions of (target, catalog):
-        # a bounded FIFO per target, cleared when the catalog changes.
-        self._partitions: dict = {}
-        self._partition_snapshot: Tuple[Subset, ...] = ()
-        # Memos compute outside the lock and insert under it: racing
-        # threads at worst compute the same value twice.
         self._memo_lock = threading.Lock()
+        # Exact-cover partitions are pure functions of (target, catalog).
+        self._partitions = SnapshotMemo(self._memo_lock)
 
     # -- what a subclass supplies --------------------------------------
     def _catalog(self) -> Tuple[Subset, ...]:
@@ -276,22 +307,12 @@ class QueryCore(QuerySurface):
 
     # -- the exact-cover partition memo --------------------------------
     def _find_partition(self, target: Subset) -> Optional[List[Subset]]:
-        """Memoised :meth:`_search_partition`, invalidated wholesale when
-        the catalog changes (publishing into an *existing* subset cannot
-        change any partition)."""
-        catalog = self._catalog()
-        with self._memo_lock:
-            if catalog != self._partition_snapshot:
-                self._partitions.clear()
-                self._partition_snapshot = catalog
-            if target in self._partitions:
-                return self._partitions[target]
-        partition = self._search_partition(target)
-        with self._memo_lock:
-            if len(self._partitions) >= MEMO_ENTRIES and target not in self._partitions:
-                self._partitions.pop(next(iter(self._partitions)))
-            self._partitions[target] = partition
-        return partition
+        """Memoised :meth:`_search_partition`, recomputed when the catalog
+        changes (publishing into an *existing* subset cannot change any
+        partition)."""
+        return self._partitions.get(
+            target, self._catalog(), lambda: self._search_partition(target)
+        )
 
     def _search_partition(self, target: Subset) -> Optional[List[Subset]]:
         """Express ``target`` as a disjoint union of sketched subsets

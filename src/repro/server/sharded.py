@@ -46,7 +46,7 @@ import os
 import pathlib
 import tempfile
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.partition import user_universe
 from .serialization import save_store
@@ -205,6 +205,34 @@ def _range_summary(columns: dict) -> dict:
     }
 
 
+def _check_shards(shards: Sequence[ShardSpec], what: str) -> None:
+    """Refuse a shard list that would serve some user twice.
+
+    Shard ids and store paths must be distinct, and the non-empty user
+    ranges ordered and disjoint: the coordinator sums every shard's
+    partial, so a store or range listed twice would be counted twice.
+    Raises ``ValueError`` naming the first defect.
+    """
+    ids = [spec.shard_id for spec in shards]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{what} repeat a shard id: {ids}")
+    paths = [os.path.normpath(spec.store_path) for spec in shards]
+    if len(set(paths)) != len(paths):
+        raise ValueError(f"{what} repeat a store path: {paths}")
+    previous: Optional[ShardSpec] = None
+    for spec in shards:
+        if spec.num_users == 0:
+            continue
+        if spec.first_user > spec.last_user or (
+            previous is not None and spec.first_user <= previous.last_user
+        ):
+            raise ValueError(
+                f"{what} have overlapping or unordered user ranges: shard "
+                f"{spec.shard_id!r} [{spec.first_user!r}, {spec.last_user!r}]"
+            )
+        previous = spec
+
+
 def _check_rebalance(record, shards: Tuple[ShardSpec, ...], directory: str) -> None:
     """Refuse a rebalance record that recovery could not resolve safely.
 
@@ -230,8 +258,10 @@ def _check_rebalance(record, shards: Tuple[ShardSpec, ...], directory: str) -> N
             raise ValueError(f"rebalance {key} must be a list")
     if record["phase"] == "acked" and not record.get("pending_shards"):
         raise ValueError("an acked rebalance record must list its pending_shards")
-    for entry in record.get("pending_shards", []):
-        _spec_from_payload(entry)
+    _check_shards(
+        [_spec_from_payload(entry) for entry in record.get("pending_shards", [])],
+        "rebalance pending_shards",
+    )
     committed = {spec.store_path for spec in shards}
     home = os.path.realpath(directory)
     for path in record.get("pending_paths", []):
@@ -339,6 +369,7 @@ class ShardMap:
         try:
             subsets = tuple(tuple(int(i) for i in s) for s in data["subsets"])
             shards = tuple(_spec_from_payload(entry) for entry in data["shards"])
+            _check_shards(shards, "shards")
             if rebalance is not None:
                 _check_rebalance(rebalance, shards, os.path.dirname(path) or ".")
         except (KeyError, TypeError, ValueError) as exc:

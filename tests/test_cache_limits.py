@@ -68,12 +68,18 @@ class TestMemoryBudget:
             database.schema, store, estimator, memory_budget_bytes=250
         )
         hot = (1, 1, 1)
-        engine.estimate((0, 1, 2), hot)
-        # Touch `hot` between batches of cold values: it must survive.
+        # Column lookups go straight to the evaluation cache: a repeated
+        # engine.estimate is answered by the partial memo and never
+        # reaches the column LRU.
+        engine.cache.bits((0, 1, 2), [hot])
+        # Touch `hot` between batches of cold values: it must survive,
+        # also right after each cold insert (the budget holds two
+        # columns, so without the refresh FIFO order would evict it).
         for v in range(4):
             value = tuple(int(b) for b in np.binary_repr(v, 3))
-            engine.estimate((0, 1, 2), value)
-            engine.estimate((0, 1, 2), hot)
+            engine.cache.bits((0, 1, 2), [value])
+            assert ((0, 1, 2), hot) in engine.cache._bits
+            engine.cache.bits((0, 1, 2), [hot])
         assert ((0, 1, 2), hot) in engine.cache._bits
 
     def test_negative_budget_rejected(self):

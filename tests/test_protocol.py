@@ -314,6 +314,47 @@ class TestEnvelope:
             loads_request(payload)
         assert info.value.code == "malformed_request"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "marginal", "subset": "12"},
+            {"kind": "marginal", "subset": {"0": 5, "1": 7}},
+            {"kind": "marginal", "subset": [0.9, 1.7]},
+            {"kind": "marginal", "subset": [True, 1]},
+            {"kind": "fraction", "subset": [0, 1], "value": [1.5, 0.2]},
+            {"kind": "counts_block", "subset": [0, 1], "values": [[True, 1]]},
+            {"kind": "exactly_l", "positions": [0, 1], "l": 1.9},
+            {"kind": "exactly_l", "positions": [0, 1], "l": True},
+            {"kind": "bit_matrix", "positions": [0, 1], "target": "1"},
+        ],
+        ids=[
+            "string-subset",
+            "mapping-subset",
+            "float-subset",
+            "bool-subset",
+            "float-value",
+            "bool-value",
+            "float-l",
+            "bool-l",
+            "string-target",
+        ],
+    )
+    def test_non_integer_fields_are_refused_not_coerced(self, body):
+        payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
+        with pytest.raises(ProtocolError) as info:
+            loads_request(payload)
+        assert info.value.code == "malformed_request"
+
+    def test_numpy_integers_still_build_the_same_request(self):
+        subset = np.array([0, 2], dtype=np.int64)
+        values = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        assert CountsBlockRequest.build(subset, values) == CountsBlockRequest.build(
+            (0, 2), [(1, 0), (0, 1)]
+        )
+        assert ExactlyLRequest.build(subset, np.int32(1)) == ExactlyLRequest.build(
+            (0, 2), 1
+        )
+
     def test_protocol_error_is_a_value_error(self):
         """Legacy callers catching ValueError keep working."""
         assert issubclass(ProtocolError, ValueError)

@@ -25,6 +25,7 @@ import os
 import shutil
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -547,6 +548,57 @@ class TestMalformedRebalanceRecord:
         assert victim.read_bytes() == b"not the service's file"
         assert committed.read_bytes() == b"committed store"
         assert checkpoint.read_bytes() == before
+
+
+class TestMalformedShardList:
+    """A checkpoint that lists a store or a user range twice would make
+    the coordinator count those users twice; it is refused on load."""
+
+    SPECS = [
+        ShardSpec("shard-0", "shard-0.npz", 3, "a", "c"),
+        ShardSpec("shard-1", "shard-1.npz", 2, "d", "e"),
+    ]
+    SHAPES = {
+        "duplicate_id": ShardSpec("shard-0", "shard-2.npz", 2, "f", "g"),
+        "duplicate_path": ShardSpec("shard-2", "shard-0.npz", 2, "f", "g"),
+        "overlapping_range": ShardSpec("shard-2", "shard-2.npz", 2, "e", "g"),
+    }
+
+    @pytest.mark.parametrize("where", ["shards", "pending_shards"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_refused(self, shape, where, tmp_path):
+        specs = (*self.SPECS, self.SHAPES[shape])
+        if where == "shards":
+            shard_map = ShardMap(subsets=((0,),), shards=specs)
+        else:
+            record = {
+                "op": "split",
+                "phase": "acked",
+                "pending_shards": [asdict(spec) for spec in specs],
+            }
+            shard_map = ShardMap(
+                subsets=((0,),), shards=tuple(self.SPECS), rebalance=record
+            )
+        path = tmp_path / "shard_map.json"
+        shard_map.save(path)
+        with pytest.raises(ValueError, match="malformed shard-map checkpoint"):
+            ShardMap.load(path)
+
+    def test_empty_shards_and_ordered_ranges_load(self, tmp_path):
+        empty = ShardSpec("shard-2", "shard-2.npz", 0, "", "")
+        shard_map = ShardMap(subsets=((0,),), shards=(self.SPECS[0], empty, self.SPECS[1]))
+        shard_map.save(tmp_path / "shard_map.json")
+        assert ShardMap.load(tmp_path / "shard_map.json").shards == shard_map.shards
+
+    def test_double_listed_shard_is_refused_by_recovery(self, tmp_path):
+        store, prf, _ = make_stack(BiasedPRF, num_users=40)
+        ShardedService.from_store(store, prf, 2, tmp_path).close()
+        checkpoint = tmp_path / "shard_map.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["shards"].append(dict(payload["shards"][0], shard_id="shard-copy"))
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="repeat a store path"):
+            ShardedService.from_checkpoint(tmp_path, prf)
 
 
 # ----------------------------------------------------------------------
