@@ -234,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the loop; default: CPU count capped at 8)",
     )
     serve.add_argument(
-        "--scatter-threads", type=int, default=None, metavar="N",
-        help="shared scatter-gather pool size for sharded serving "
-        "(default: twice the shard count, capped at 32; only meaningful "
-        "with --shards)",
-    )
-    serve.add_argument(
         "--watchdog", type=float, default=5.0, metavar="SECONDS",
         help="watchdog probe interval for sharded serving: ping every "
         "worker this often and auto-restart dead or hung ones with a "
@@ -602,12 +596,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.scatter_threads is not None and args.scatter_threads < 1:
-        print(
-            f"error: --scatter-threads must be >= 1, got {args.scatter_threads}",
-            file=sys.stderr,
-        )
-        return 2
     if args.watchdog < 0:
         print(f"error: --watchdog must be >= 0, got {args.watchdog}", file=sys.stderr)
         return 2
@@ -631,7 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shard_dir = args.shard_dir or tempfile.mkdtemp(prefix="repro-shards-")
             service = ShardedService.from_store(
                 store, prf, args.shards, shard_dir,
-                pool_size=args.scatter_threads,
                 watchdog_interval=args.watchdog or None,
             )
             service.start()

@@ -59,6 +59,13 @@ __all__ = ["MissingSketchError", "QueryEngine"]
 Subset = Tuple[int, ...]
 
 
+def _fresh_partial(op: str, memo: dict) -> dict:
+    """A memoised partial with fresh lists, so no caller can mutate the memo."""
+    if op == "bit_sums":
+        return {"num_users": memo["num_users"], "sums": list(memo["sums"])}
+    return {"num_users": memo["num_users"], "counts": [list(row) for row in memo["counts"]]}
+
+
 class QueryEngine(QueryCore):
     """Analyst-facing query interface over published sketches.
 
@@ -160,18 +167,21 @@ class QueryEngine(QueryCore):
         """
         if request.op == "matrix_rows":
             return self._partial(request)
+        memo = self._partials.get(*self._partial_slot(request), lambda: self._partial(request))
+        return _fresh_partial(request.op, memo)
+
+    def memoised_partial(self, request: ShardPartialRequest) -> Optional[dict]:
+        """:meth:`partial`'s answer if it is memoised and current, else
+        ``None``; never computes, so it is cheap enough for an event loop."""
+        if request.op == "matrix_rows":
+            return None
+        memo = self._partials.peek(*self._partial_slot(request))
+        return None if memo is None else _fresh_partial(request.op, memo)
+
+    def _partial_slot(self, request: ShardPartialRequest) -> tuple:
+        """The partial memo's key and snapshot for ``request``."""
         sizes = tuple(self.store.num_users(subset) for subset in request.subsets)
-        memo = self._partials.get(
-            (request.op, request.subsets, request.groups),
-            sizes,
-            lambda: self._partial(request),
-        )
-        if request.op == "bit_sums":
-            return {"num_users": memo["num_users"], "sums": list(memo["sums"])}
-        return {
-            "num_users": memo["num_users"],
-            "counts": [list(row) for row in memo["counts"]],
-        }
+        return (request.op, request.subsets, request.groups), sizes
 
     def _partial(self, request: ShardPartialRequest) -> dict:
         """:meth:`partial` computed from the cached columns (no memo)."""

@@ -80,6 +80,7 @@ Subset = Tuple[int, ...]
 #: is dropped and simply recomputed on its next use, so a stream of
 #: distinct targets runs in bounded memory.
 MEMO_ENTRIES = 64
+_MISS = object()
 
 
 class SnapshotMemo:
@@ -101,12 +102,17 @@ class SnapshotMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Any, snapshot: Any, compute: Callable[[], Any]) -> Any:
-        """The value for ``key`` at ``snapshot``, computing it on a miss."""
+    def peek(self, key: Any, snapshot: Any, default: Any = None) -> Any:
+        """The value for ``key`` at ``snapshot``, or ``default`` on a miss."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] == snapshot:
-                return entry[1]
+            return entry[1] if entry is not None and entry[0] == snapshot else default
+
+    def get(self, key: Any, snapshot: Any, compute: Callable[[], Any]) -> Any:
+        """The value for ``key`` at ``snapshot``, computing it on a miss."""
+        value = self.peek(key, snapshot, _MISS)
+        if value is not _MISS:
+            return value
         value = compute()
         with self._lock:
             if len(self._entries) >= MEMO_ENTRIES and key not in self._entries:

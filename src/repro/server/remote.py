@@ -427,9 +427,13 @@ class RemoteServer:
                 deadline.check()
             self._charge(analyst, request)
             pool = self._executor()
-            if pool is None:
+            # Duck-typed: an engine may answer some requests at once
+            # (a shard worker's memoised partials), skipping the pool.
+            answer_now = getattr(self.engine, "answer_now", None)
+            response = None if answer_now is None else answer_now(request)
+            if response is None and pool is None:
                 response = run_with_deadline(self.engine.execute, deadline, request)
-            else:
+            elif response is None:
                 future = asyncio.get_running_loop().run_in_executor(
                     pool, run_with_deadline, self.engine.execute, deadline, request
                 )
@@ -789,27 +793,47 @@ class RemoteQueryEngine(QuerySurface):
                     f"client deadline exceeded after {attempt} attempt(s)"
                 ) from last_exc
             try:
-                if self._file is None:
-                    self._connect()
-                if active is None:
-                    self._sock.settimeout(self._timeout)
-                    self._send(dumps_request(request))
-                else:
-                    self._sock.settimeout(
-                        min(self._timeout, max(active.remaining(), 1e-3))
-                    )
-                    self._send(
-                        dumps_request(request, deadline_ms=active.remaining_ms())
-                    )
-                response = parse_reply(self._recv())
-                return QueryResponse(
-                    response.kind, decode_result(response.kind, response.result)
-                )
+                self.send(request, deadline=active)
+                return self.receive()
             except OSError as exc:  # includes ConnectionError, socket.timeout
                 last_exc = exc
-                self._teardown()
         assert last_exc is not None
         raise last_exc
+
+    def send(self, request: QueryRequest, *, deadline: Optional[Deadline] = None) -> None:
+        """Put one request on the wire without waiting for its reply.
+
+        The first half of one :meth:`execute` attempt, for a caller that
+        keeps requests in flight on several connections at once (the
+        shard coordinator's fan-out); :meth:`receive` reads the reply.
+        No retry: an ``OSError`` drops the connection and propagates.
+        """
+        try:
+            if self._file is None:
+                self._connect()
+            if deadline is None:
+                self._sock.settimeout(self._timeout)
+                self._send(dumps_request(request))
+            else:
+                self._sock.settimeout(
+                    min(self._timeout, max(deadline.remaining(), 1e-3))
+                )
+                self._send(dumps_request(request, deadline_ms=deadline.remaining_ms()))
+        except OSError:
+            self._teardown()
+            raise
+
+    def receive(self) -> QueryResponse:
+        """The reply to the request :meth:`send` put on the wire; raises
+        mapped server errors, and drops the connection on an ``OSError``."""
+        try:
+            response = parse_reply(self._recv())
+        except OSError:
+            self._teardown()
+            raise
+        return QueryResponse(
+            response.kind, decode_result(response.kind, response.result)
+        )
 
     def close(self) -> None:
         self._teardown()

@@ -153,8 +153,8 @@ class CircuitBreaker:
       success closes the breaker, its failure re-opens it (and restarts
       the timeout).
 
-    Thread-safe: the coordinator's scatter pool calls ``allow`` /
-    ``record_*`` from multiple worker threads.
+    Thread-safe: ``allow`` / ``record_*`` may be called from several
+    threads at once.
     """
 
     def __init__(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.estimator import SketchEstimator
@@ -65,12 +64,8 @@ class _ShardHandle:
         self._token = token
         self._timeout = timeout
         self.breaker = breaker
-        # One wire per shard: requests to the same shard serialize here
-        # (protocol framing demands it — replies are matched to requests
-        # by order); distinct shards proceed in parallel on the shared
-        # scatter pool, and the worker's own dispatch pool overlaps work
-        # across coordinator connections.
-        self.lock = threading.Lock()
+        # One wire per shard, used only under the coordinator's wire
+        # lock: protocol framing matches replies to requests by order.
         self.client: Optional[RemoteQueryEngine] = RemoteQueryEngine(
             host, port, token, timeout=timeout
         )
@@ -120,7 +115,6 @@ class ShardCoordinator(QueryCore):
         estimator: SketchEstimator,
         *,
         timeout: float = 30.0,
-        pool_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         breaker_threshold: int = 5,
         breaker_reset: float = 1.0,
@@ -145,18 +139,8 @@ class ShardCoordinator(QueryCore):
         self._active: Dict[str, int] = {}
         self._draining: Set[str] = set()
         self._cond = threading.Condition()
-        # Shared scatter pool: one bounded executor serves every
-        # fan-out, replacing a fresh thread per shard per request.  Two
-        # slots per shard lets a second fan-out (dispatched by the
-        # front-end RemoteServer's pool) overlap the first; beyond that
-        # tasks queue — each task is a leaf (one wire call, no nested
-        # submits), so queueing cannot deadlock.
-        if pool_size is None:
-            pool_size = min(32, 2 * max(1, len(self._order)))
-        elif pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-        self._pool_size = int(pool_size)
-        self._pool: Optional[ThreadPoolExecutor] = None
+        # One fan-out on the shard wires at a time (see _scatter).
+        self._wire = threading.Lock()
         # Commit barrier for live rebalancing: while set, new fan-outs
         # wait (bounded by the coordinator timeout) instead of racing a
         # topology flip.  The supervisor that drives rebalances attaches
@@ -245,11 +229,8 @@ class ShardCoordinator(QueryCore):
         with self._cond:
             handles = list(self._handles.values())
             self._handles.clear()
-            pool, self._pool = self._pool, None
         for handle in handles:
             handle.close()
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     # -- the rebalance commit barrier ----------------------------------
     @contextlib.contextmanager
@@ -360,81 +341,92 @@ class ShardCoordinator(QueryCore):
             self._active[shard_id] -= 1
             self._cond.notify_all()
 
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        """The shared fan-out executor, created on first multi-shard use."""
-        with self._cond:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._pool_size, thread_name_prefix="repro-scatter"
-                )
-            return self._pool
-
     def _scatter(self, request: ShardPartialRequest) -> List[dict]:
         """One partial request to every shard; partials in range order.
 
-        Fan-out rides the shared bounded pool (not a fresh thread per
-        shard per request): per-request thread creation cost disappears
-        from the scatter path, and total coordinator threads stay capped
-        however many front-end requests are in flight.  Requests to the
-        *same* shard still serialize on that shard's wire lock.
+        The fan-out is pipelined on the calling thread: under the wire
+        lock it sends the request to every shard first, then reads the
+        replies in the same order, so the shards work at once with no
+        thread handoff on the way.  One fan-out holds the wires at a
+        time: concurrent queries plan and merge outside the lock and
+        queue for it, instead of handing every shard round trip to a
+        pool thread that contends for the GIL.  A shard whose send or
+        reply fails walks its retry policy in turn, and every shard's
+        reply is read before the fan-out returns or raises, so no wire
+        is left holding an unread reply.
 
         The ambient request deadline (set by the front-end perimeter via
-        the resilience contextvar) is captured *here*, on the dispatch
-        thread, and handed to each shard call explicitly — pool threads
-        do not inherit the context — so every hop's socket timeout
-        shrinks to the remaining budget.
+        the resilience contextvar) is captured here and bounds every
+        shard call's socket timeout.
         """
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("fan-out")
         handles = self._snapshot()
-        results: List[Optional[QueryResponse]] = [None] * len(handles)
-        errors: List[Optional[BaseException]] = [None] * len(handles)
-
-        def call(index: int, handle: _ShardHandle) -> None:
-            try:
-                results[index] = self._call_shard(handle, request, deadline)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors[index] = exc
-            finally:
+        outcomes: List[object] = []
+        try:
+            with self._wire:
+                sent = [self._send_first(handle, request, deadline) for handle in handles]
+                for handle, first in zip(handles, sent):
+                    try:
+                        outcomes.append(self._call_shard(handle, request, deadline, first))
+                    except BaseException as exc:  # noqa: BLE001 - re-raised below
+                        outcomes.append(exc)
+        finally:
+            for handle in handles:
                 self._release(handle.shard_id)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return [outcome.result for outcome in outcomes]
 
-        if len(handles) == 1:
-            call(0, handles[0])
-        else:
-            pool = self._scatter_pool()
-            futures = [
-                pool.submit(call, i, handle) for i, handle in enumerate(handles)
-            ]
-            for future in futures:
-                future.result()  # call() never raises; this is the join
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return [response.result for response in results]
+    def _send_first(
+        self,
+        handle: _ShardHandle,
+        request: ShardPartialRequest,
+        deadline: Optional[Deadline],
+    ):
+        """Admit one shard call through its breaker and send its first
+        attempt on the open connection, if there is one.
+
+        Returns ``None`` for a refused call, ``True`` once the request is
+        on the wire, the ``OSError`` of a failed send, or ``False`` when
+        there is nothing to send on yet (no connection, or an expired
+        deadline): :meth:`_call_shard` then makes the first attempt.
+        """
+        if not handle.breaker.allow():
+            return None
+        if handle.client is None or (deadline is not None and deadline.expired):
+            return False
+        try:
+            handle.client.send(request, deadline=deadline)
+        except OSError as exc:
+            return exc
+        return True
 
     def _call_shard(
         self,
         handle: _ShardHandle,
         request: ShardPartialRequest,
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
+        first_attempt,
     ) -> QueryResponse:
-        """Execute on one shard through its breaker and the retry policy.
+        """Finish one shard's call through its breaker and the retry policy.
 
-        The shard's circuit breaker gates the call: an open circuit
-        refuses immediately (no connection attempt, no backoff burn) and
-        only the half-open probe reaches the wire until the shard proves
-        healthy again.  A closed circuit admits the call, which then
-        walks the retry policy's deterministic backoff schedule — each
-        attempt on a fresh connection, each failure recorded against the
-        breaker.  A worker restarted in place answers a retry; a dead
-        one fails fast into :class:`ShardUnavailableError` — no hanging
-        on a half-open socket.  A live ``deadline`` bounds every
-        attempt's socket timeout and stops the backoff walk the moment
-        the budget runs out.
+        ``first_attempt`` is what :meth:`_send_first` returned.  An open
+        circuit refuses at once (no connection attempt, no backoff burn),
+        and only the half-open probe reaches the wire until the shard
+        proves healthy again.  An admitted call reads the reply to its
+        first attempt, then walks the retry policy's deterministic backoff
+        schedule, each retry on a fresh connection, each failure recorded
+        against the breaker.  A worker restarted in place answers a
+        retry; a dead one fails fast into :class:`ShardUnavailableError`,
+        never hanging on a half-open socket.  A live ``deadline`` bounds
+        every attempt's socket timeout and stops the backoff walk the
+        moment the budget runs out.
         """
         breaker = handle.breaker
-        if not breaker.allow():
+        if first_attempt is None:
             raise ShardUnavailableError(
                 f"shard {handle.shard_id!r} at {handle.host}:{handle.port} has "
                 "an open circuit after repeated failures; the next probe is "
@@ -444,35 +436,39 @@ class ShardCoordinator(QueryCore):
         first: Optional[BaseException] = None
         probe_pending = True
         try:
-            with handle.lock:
-                for attempt, backoff in enumerate((0.0,) + tuple(schedule)):
-                    if backoff:
-                        time.sleep(
-                            backoff
-                            if deadline is None
-                            else min(backoff, deadline.remaining())
-                        )
-                    if deadline is not None and deadline.expired:
-                        # Out of budget is the *request's* problem, not
-                        # the shard's: no breaker failure is recorded.
-                        raise DeadlineExceeded(
-                            f"request deadline exceeded after {attempt} "
-                            f"attempt(s) against shard {handle.shard_id!r}"
-                        ) from first
-                    try:
+            for attempt, backoff in enumerate((0.0,) + tuple(schedule)):
+                if backoff:
+                    time.sleep(
+                        backoff
+                        if deadline is None
+                        else min(backoff, deadline.remaining())
+                    )
+                if deadline is not None and deadline.expired and first_attempt is not True:
+                    # Out of budget is the *request's* problem, not the
+                    # shard's: no breaker failure is recorded.
+                    raise DeadlineExceeded(
+                        f"request deadline exceeded after {attempt} "
+                        f"attempt(s) against shard {handle.shard_id!r}"
+                    ) from first
+                try:
+                    if first_attempt is True:
+                        response = handle.client.receive()
+                    elif isinstance(first_attempt, OSError):
+                        raise first_attempt
+                    else:
                         if attempt > 0 or handle.client is None:
                             handle.reconnect()
-                        response = handle.client.execute(
-                            request, deadline=deadline
-                        )
-                    except (OSError, EOFError) as exc:
-                        if first is None:
-                            first = exc
-                        breaker.record_failure()
-                        continue
-                    breaker.record_success()
-                    probe_pending = False
-                    return response
+                        response = handle.client.execute(request, deadline=deadline)
+                except (OSError, EOFError) as exc:
+                    if first is None:
+                        first = exc
+                    breaker.record_failure()
+                    continue
+                finally:
+                    first_attempt = False
+                breaker.record_success()
+                probe_pending = False
+                return response
         finally:
             # A half-open probe that exited abnormally (deadline hit
             # between attempts) must not leave the probe latch stuck.

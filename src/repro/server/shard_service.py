@@ -141,7 +141,6 @@ class ShardedService:
         cache_budget_bytes: int | None = None,
         timeout: float = 30.0,
         token: str = "shard-internal",
-        pool_size: int | None = None,
         retry: Optional[RetryPolicy] = None,
         breaker_threshold: int = 5,
         breaker_reset: float = 1.0,
@@ -200,7 +199,6 @@ class ShardedService:
             shard_map,
             estimator,
             timeout=timeout,
-            pool_size=pool_size,
             retry=retry,
             breaker_threshold=breaker_threshold,
             breaker_reset=breaker_reset,

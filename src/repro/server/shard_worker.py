@@ -132,6 +132,22 @@ class _ReadWriteGate:
                 self._cond.notify_all()
 
     @contextlib.contextmanager
+    def read_if_open(self):
+        """:meth:`read` that never waits: yields ``False``, holding
+        nothing, while a writer holds or awaits the gate."""
+        with self._cond:
+            entered = not (self._writer or self._writers_waiting)
+            if entered:
+                self._readers += 1
+        try:
+            yield entered
+        finally:
+            if entered:
+                with self._cond:
+                    self._readers -= 1
+                    self._cond.notify_all()
+
+    @contextlib.contextmanager
     def write(self):
         with self._cond:
             self._writers_waiting += 1
@@ -212,6 +228,17 @@ class ShardWorkerEngine:
                     kind=request.kind, result=self.engine.partial(request)
                 )
             return self.engine.execute(request)
+
+    def answer_now(self, request: QueryRequest) -> Optional[QueryResponse]:
+        """The reply to a ``shard_partial`` whose answer is memoised, or
+        ``None``.  It computes nothing and never waits, so the server
+        answers it on its event loop instead of handing it to a
+        dispatch thread and back."""
+        if request.kind != ShardPartialRequest.kind:
+            return None
+        with self._gate.read_if_open() as entered:
+            result = self.engine.memoised_partial(request) if entered else None
+        return None if result is None else QueryResponse(kind=request.kind, result=result)
 
     # -- rebalance ops (service → worker; not on the analyst surface) --
     def _range_masks(

@@ -7,12 +7,16 @@ a memoised engine answers byte-identically to a fresh engine — cold,
 warm, and after an append grows one participating column (which must
 force a recompute) — on one store and through a 2-shard coordinator,
 that concurrent warm traffic stays consistent and bounded, and that the
-O(M) ``matrix_rows`` partial is never kept.
+O(M) ``matrix_rows`` partial is never kept.  They also pin the two hops
+that keep warm sharded traffic cheap: a shard worker answers a memoised
+partial on its event loop, and the coordinator sends to every shard
+before it reads any reply.
 """
 
 from __future__ import annotations
 
 import contextlib
+import socket
 import sys
 import threading
 
@@ -37,6 +41,7 @@ from repro.queries.ast import Conjunction
 from repro.queries.conjunctive import LinearPlan, PlanTerm
 from repro.server import (
     QueryEngine,
+    RemoteQueryEngine,
     RemoteServer,
     ShardCoordinator,
     ShardMap,
@@ -243,3 +248,89 @@ def test_callers_cannot_mutate_the_memo():
     assert again["counts"][0][0] == partial["counts"][0][0] - 1000
     assert again["num_users"] > 0
     assert dumps_response(engine.execute(WARM[5])) == expected
+
+
+def test_worker_answers_memoised_partials_on_the_event_loop(monkeypatch):
+    """A warm ``shard_partial`` never reaches the dispatch pool, and a
+    rebalance holding the worker's gate sends it back there."""
+    _schema, store, estimator = make_stack()
+    worker = ShardWorkerEngine(QueryEngine(None, store, estimator))
+    dispatched = []
+    original = ShardWorkerEngine.execute
+
+    def counted(self, request):
+        dispatched.append(request.kind)
+        return original(self, request)
+
+    monkeypatch.setattr(ShardWorkerEngine, "execute", counted)
+    request = ShardPartialRequest.build("bit_sums", [(0, 1)], [((1, 1),), ((0, 1),)])
+    token = "memo-token"
+    with serve_in_thread(RemoteServer(worker, {SHARD_ANALYST: token})) as (host, port):
+        with RemoteQueryEngine(host, port, token) as client:
+            cold = client.execute(request).result
+            warm = client.execute(request).result
+    assert cold == warm == worker.engine.partial(request)
+    assert dispatched == ["shard_partial"]
+    with worker._gate.write():
+        assert worker.answer_now(request) is None
+    assert worker.answer_now(request).result == cold
+
+
+def test_fanout_sends_to_every_shard_before_reading_a_reply(monkeypatch):
+    _schema, store, estimator = make_stack()
+    wire = []
+    send, receive = RemoteQueryEngine.send, RemoteQueryEngine.receive
+
+    def logged_send(self, request, **kwargs):
+        wire.append(("send", self._address[1]))
+        return send(self, request, **kwargs)
+
+    def logged_receive(self):
+        wire.append(("receive", self._address[1]))
+        return receive(self)
+
+    with two_shard_coordinator(store, estimator) as (coordinator, _stores):
+        monkeypatch.setattr(RemoteQueryEngine, "send", logged_send)
+        monkeypatch.setattr(RemoteQueryEngine, "receive", logged_receive)
+        coordinator.execute(WARM[0])
+    first, second = (port for _op, port in wire[:2])
+    assert first != second
+    assert wire == [("send", first), ("send", second), ("receive", first), ("receive", second)]
+
+
+def test_threads_through_two_shards_agree():
+    schema, store, estimator = make_stack()
+    expected = [fresh_answer(schema, store, estimator, request) for request in WARM]
+    mismatches, errors = [], []
+    with two_shard_coordinator(store, estimator) as (coordinator, _stores):
+
+        def caller(offset: int) -> None:
+            try:
+                for i in range(4 * len(WARM)):
+                    j = (i + offset) % len(WARM)
+                    if dumps_response(coordinator.execute(WARM[j])) != expected[j]:
+                        mismatches.append(WARM[j].kind)
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and mismatches == []
+
+
+@pytest.mark.parametrize("broken", ["shard-0", "shard-1"])
+def test_fanout_retries_a_broken_wire_and_keeps_the_others_in_step(broken):
+    """A wire that fails mid fan-out is redialled; the other shard's
+    reply is still read, so the next fan-out sees no stale reply."""
+    schema, store, estimator = make_stack()
+    expected = [fresh_answer(schema, store, estimator, request) for request in WARM[:2]]
+    with two_shard_coordinator(store, estimator) as (coordinator, _stores):
+        assert dumps_response(coordinator.execute(WARM[0])) == expected[0]
+        coordinator._handles[broken].client._sock.shutdown(socket.SHUT_RDWR)
+        assert dumps_response(coordinator.execute(WARM[0])) == expected[0]
+        assert dumps_response(coordinator.execute(WARM[1])) == expected[1]
+        assert coordinator.breaker_states()[broken]["state"] == "closed"
