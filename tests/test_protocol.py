@@ -35,8 +35,16 @@ from repro.protocol import (
     ExactlyLRequest,
     FractionRequest,
     MarginalRequest,
+    PingRequest,
     ProtocolError,
+    RebalanceMergeRequest,
+    RebalanceSplitRequest,
+    RebalanceStatusRequest,
+    ShardAdoptRequest,
+    ShardDropRequest,
     ShardPartialRequest,
+    ShardSnapshotRequest,
+    StatusRequest,
     QueryError,
     RemoteQueryError,
     REQUEST_KINDS,
@@ -434,21 +442,189 @@ def served_replies(engine, lines):
     return replies
 
 
+#: One valid request per kind and the exact body it must encode to.
+GOLDEN_REQUESTS = [
+    pytest.param(
+        lambda: CountsBlockRequest.build((0, 1), [(0, 0), (1, 1)]),
+        {"kind": "counts_block", "subset": [0, 1], "values": [[0, 0], [1, 1]]},
+        id="counts_block",
+    ),
+    pytest.param(
+        lambda: EstimateManyRequest.build((1, 2, 3), [(1, 0, 1), (0, 0, 0)]),
+        {
+            "kind": "estimate_many",
+            "subset": [1, 2, 3],
+            "values": [[1, 0, 1], [0, 0, 0]],
+        },
+        id="estimate_many",
+    ),
+    pytest.param(
+        lambda: MarginalRequest.build((1, 2, 3)),
+        {"kind": "marginal", "subset": [1, 2, 3]},
+        id="marginal",
+    ),
+    pytest.param(
+        lambda: FractionRequest.build((1, 2), (1, 0)),
+        {"kind": "fraction", "subset": [1, 2], "value": [1, 0]},
+        id="fraction",
+    ),
+    pytest.param(
+        lambda: AnyOfRequest.build([((0, 1), (1, 1)), ((2,), (0,))]),
+        {
+            "kind": "any_of",
+            "queries": [
+                {"subset": [0, 1], "value": [1, 1]},
+                {"subset": [2], "value": [0]},
+            ],
+        },
+        id="any_of",
+    ),
+    pytest.param(
+        lambda: ExactlyLRequest.build((0, 1, 2, 3), 2),
+        {"kind": "exactly_l", "positions": [0, 1, 2, 3], "l": 2},
+        id="exactly_l",
+    ),
+    pytest.param(
+        lambda: BitMatrixRequest.build((0, 2)),
+        {"kind": "bit_matrix", "positions": [0, 2], "target": 1},
+        id="bit_matrix-default-target",
+    ),
+    pytest.param(
+        lambda: EvaluatePlanRequest.build([((0, 1), (1, 0), 2.5), ((3,), (1,), -1)]),
+        {
+            "kind": "evaluate_plan",
+            "terms": [
+                {"subset": [0, 1], "value": [1, 0], "coefficient": 2.5},
+                {"subset": [3], "value": [1], "coefficient": -1.0},
+            ],
+            "description": "",
+        },
+        id="evaluate_plan-default-description",
+    ),
+    pytest.param(
+        lambda: EvaluatePlanRequest.from_plan(
+            LinearPlan(
+                terms=(PlanTerm(Conjunction((Literal(0, 1),)), 1),),
+                description="mean of a",
+            )
+        ),
+        {
+            "kind": "evaluate_plan",
+            "terms": [{"subset": [0], "value": [1], "coefficient": 1.0}],
+            "description": "mean of a",
+        },
+        id="evaluate_plan-from-plan",
+    ),
+    pytest.param(
+        lambda: ShardPartialRequest.build(
+            "weight_counts", [(0, 1), (2,)], [((1, 0), (1,)), ((0, 0), (0,))]
+        ),
+        {
+            "kind": "shard_partial",
+            "op": "weight_counts",
+            "subsets": [[0, 1], [2]],
+            "groups": [[[1, 0], [1]], [[0, 0], [0]]],
+        },
+        id="shard_partial",
+    ),
+    pytest.param(lambda: PingRequest.build(), {"kind": "ping"}, id="ping"),
+    pytest.param(lambda: StatusRequest.build(), {"kind": "status"}, id="status"),
+    pytest.param(
+        lambda: RebalanceSplitRequest.build("shard-0"),
+        {"kind": "rebalance_split", "shard_id": "shard-0", "boundary": None},
+        id="rebalance_split-no-boundary",
+    ),
+    pytest.param(
+        lambda: RebalanceSplitRequest.build("shard-0", boundary="u0042"),
+        {"kind": "rebalance_split", "shard_id": "shard-0", "boundary": "u0042"},
+        id="rebalance_split",
+    ),
+    pytest.param(
+        lambda: RebalanceMergeRequest.build("shard-0", "shard-1"),
+        {"kind": "rebalance_merge", "left": "shard-0", "right": "shard-1"},
+        id="rebalance_merge",
+    ),
+    pytest.param(
+        lambda: RebalanceStatusRequest.build(),
+        {"kind": "rebalance_status"},
+        id="rebalance_status",
+    ),
+    pytest.param(
+        lambda: ShardSnapshotRequest.build("export", "right.npz"),
+        {
+            "kind": "shard_snapshot",
+            "op": "export",
+            "boundary": None,
+            "left_path": None,
+            "right_path": "right.npz",
+            "warm_path": None,
+        },
+        id="shard_snapshot-export-no-paths",
+    ),
+    pytest.param(
+        lambda: ShardSnapshotRequest.build(
+            "carve",
+            "right.npz",
+            boundary="u0042",
+            left_path="left.npz",
+            warm_path="warm.json",
+        ),
+        {
+            "kind": "shard_snapshot",
+            "op": "carve",
+            "boundary": "u0042",
+            "left_path": "left.npz",
+            "right_path": "right.npz",
+            "warm_path": "warm.json",
+        },
+        id="shard_snapshot-carve",
+    ),
+    pytest.param(
+        lambda: ShardAdoptRequest.build("h.npz", "m.npz", stage="prepare"),
+        {
+            "kind": "shard_adopt",
+            "handoff_path": "h.npz",
+            "warm_path": None,
+            "save_path": "m.npz",
+            "stage": "prepare",
+        },
+        id="shard_adopt",
+    ),
+    pytest.param(
+        lambda: ShardDropRequest.build("u0042", stage="commit"),
+        {"kind": "shard_drop", "boundary": "u0042", "stage": "commit"},
+        id="shard_drop",
+    ),
+]
+
+
 class TestLegacyShims:
     """The block-request shims are gone; ``counts_block`` over protocol v1
     keeps each guarantee they gave: stable bytes, and a reply envelope
     (never a transport exception) for every line the server reads."""
 
-    def test_block_request_bytes_are_unchanged(self):
-        """The v1 counts_block payload is byte-stable."""
-        payload = dumps_request(CountsBlockRequest.build((0, 1), [(0, 0), (1, 1)]))
+    @pytest.mark.parametrize("build, body", GOLDEN_REQUESTS)
+    def test_block_request_bytes_are_unchanged(self, build, body):
+        """Every kind's v1 payload is byte-stable: body keys in declared
+        order, defaulted fields and ``None`` optionals written out."""
+        assert dumps_request(build()) == json.dumps(
+            {"format": REQUEST_TAG, "version": PROTOCOL_VERSION, **body}
+        )
+
+    def test_golden_bytes_cover_every_kind(self):
+        assert {case.values[0]().kind for case in GOLDEN_REQUESTS} == set(
+            REQUEST_KINDS
+        )
+
+    def test_deadline_rides_the_envelope_as_whole_milliseconds(self):
+        payload = dumps_request(MarginalRequest.build((1,)), deadline_ms=250.7)
         assert payload == json.dumps(
             {
                 "format": REQUEST_TAG,
                 "version": PROTOCOL_VERSION,
-                "kind": "counts_block",
-                "subset": [0, 1],
-                "values": [[0, 0], [1, 1]],
+                "kind": "marginal",
+                "subset": [1],
+                "deadline_ms": 250,
             }
         )
 
