@@ -39,9 +39,13 @@ code maps back to (:class:`BudgetExceeded`, ``MissingSketchError``,
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from itertools import repeat
+from numbers import Real
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -121,73 +125,283 @@ ERROR_CODES = (
 
 
 # ----------------------------------------------------------------------
-# Field coercion helpers (shared by build() and from_body())
+# Strict field types.  ``load`` turns a field sent on the wire (or, with
+# ``wire`` false, given to ``build``) into its dataclass value or raises
+# ``malformed_request``: nothing is coerced into a different, valid query,
+# so the perimeter charges, and the engine answers, exactly what was sent.
+# ``encode`` is a value's JSON form (``None``: ready as is, since ``json``
+# writes tuples as lists); ``released``, the sketched subsets it names.
 # ----------------------------------------------------------------------
-def _int_tuple(values: Sequence[int], what: str) -> Tuple[int, ...]:
-    """A sequence of integers, exactly as sent.
+_MISSING: Any = object()
+_BIT_VALUES = frozenset((0, 1))
+_PLAIN_INT = frozenset((int,))
+#: Body keys a request may carry beyond its declared fields.
+_ENVELOPE_KEYS = frozenset(("kind", "format", "version", "deadline_ms"))
 
-    Only true integers pass (``operator.index``: Python and NumPy ints,
-    never a bool), in a list-like container (never a string, bytes or a
-    mapping), so no malformed field is coerced into a different, valid
-    query — the perimeter charges, and the memo keys on, what was sent.
-    """
+
+def _malformed(problem: str) -> ProtocolError:
+    return ProtocolError("malformed_request", problem)
+
+
+def _sequence(raw: Any) -> Sequence[Any]:
+    """A list-like container other than a list or tuple (which callers
+    take as is), as a tuple: never a string, bytes, mapping or scalar."""
+    if isinstance(raw, (str, bytes, bytearray, Mapping)):
+        raise _malformed(f"expected a list, got {type(raw).__name__}")
     try:
-        if not isinstance(values, (list, tuple)):
-            if isinstance(values, (str, bytes, bytearray, Mapping)):
-                raise TypeError(
-                    f"expected a list of integers, got {type(values).__name__}"
-                )
-            values = tuple(values)
-        if bool in map(type, values):
-            raise TypeError("a bool is not an integer")
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ProtocolError("malformed_request", f"malformed {what}: {exc}") from exc
+        return tuple(raw)
+    except TypeError:
+        raise _malformed(f"expected a list, got {type(raw).__name__}") from None
 
 
-def _int(value: int, what: str) -> int:
-    """One integer field, under :func:`_int_tuple`'s rules."""
-    return _int_tuple((value,), what)[0]
+class _Scalar:
+    """One value that ``accepts`` admits, kept as ``convert(raw)``."""
+
+    releases, encode = False, None
+
+    def __init__(self, expected: str, accepts: Callable, convert=None) -> None:
+        self.expected, self.accepts, self.convert = expected, accepts, convert
+
+    def load(self, raw: Any, wire: bool = True) -> Any:
+        try:
+            if self.accepts(raw):
+                return raw if self.convert is None else self.convert(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise _malformed(f"expected {self.expected}, got {raw!r}")
 
 
-def _value_tuple(value: Sequence[int], width: int, what: str) -> Tuple[int, ...]:
-    value_t = _int_tuple(value, what)
-    if len(value_t) != width:
-        raise ProtocolError(
-            "malformed_request",
-            f"malformed {what}: value width {len(value_t)} does not match "
-            f"subset size {width}",
-        )
-    return value_t
+class _Ints:
+    """A list of true ints (``operator.index``: Python and NumPy ints,
+    never a bool), each 0 or 1 for ``bits``.  ``release`` is ``"subset"``
+    (one sketched subset) or ``"positions"`` (a per-bit subset each)."""
+
+    encode = None
+
+    def __init__(self, bits: bool = False, release: Optional[str] = None) -> None:
+        self.bits, self.release, self.releases = bits, release, release is not None
+
+    def load(self, raw: Any, wire: bool = True) -> Tuple[int, ...]:
+        values = raw if isinstance(raw, (list, tuple)) else _sequence(raw)
+        if _PLAIN_INT.issuperset(map(type, values)):  # every int JSON sends
+            ints = tuple(values)
+        elif bool in map(type, values):
+            raise _malformed("a bool is not an integer")
+        else:
+            try:
+                ints = tuple(map(operator.index, values))
+            except TypeError as exc:
+                raise _malformed(str(exc)) from None
+        if self.bits and not _BIT_VALUES.issuperset(ints):
+            raise _malformed(f"value bits must be 0 or 1, got {list(ints)}")
+        return ints
+
+    def released(self, value: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        return [value] if self.release == "subset" else [(pos,) for pos in value]
 
 
-def _require(body: dict, key: str) -> Any:
-    if key not in body:
-        raise ProtocolError(
-            "malformed_request", f"request body is missing required field {key!r}"
-        )
-    return body[key]
+class _ListOf:
+    """A list of one field type, as a tuple; ``nonempty`` refuses ``[]``."""
+
+    def __init__(self, item: Any, nonempty: bool = False) -> None:
+        self.item, self.nonempty, self.releases = item, nonempty, item.releases
+        if item.encode is None:
+            self.encode = None
+
+    def load(self, raw: Any, wire: bool = True) -> tuple:
+        items = raw if isinstance(raw, (list, tuple)) else _sequence(raw)
+        if self.nonempty and not items:
+            raise _malformed("expected at least one entry")
+        if wire:  # the hot path: no Python frame per item beyond its load
+            return tuple(map(self.item.load, items))
+        return tuple(map(self.item.load, items, repeat(False)))
+
+    def encode(self, value: tuple) -> list:
+        return list(map(self.item.encode, value))
+
+    def released(self, value: tuple) -> List[Tuple[int, ...]]:
+        return [subset for item in value for subset in self.item.released(item)]
+
+
+#: One declared field: its type, its default when optional, and whether
+#: ``build`` takes it by keyword only.
+_Spec = namedtuple("_Spec", "type default kw_only", defaults=(_MISSING, False))
+
+
+class _Record:
+    """Declared fields in order, parsed as one tuple: a request body or an
+    ``any_of``/``evaluate_plan`` entry.  On the wire, a JSON object with
+    no key beyond its fields and ``extra``; to ``build``, a mapping, or
+    an entry's every field in order.  ``check`` is the cross-field rule,
+    given the parsed fields."""
+
+    def __init__(self, fields: Mapping[str, Any], check=None, extra=frozenset()):
+        self.specs = {
+            name: spec if isinstance(spec, _Spec) else _Spec(spec)
+            for name, spec in fields.items()
+        }
+        types = [spec.type for spec in self.specs.values()]
+        self.loaders = [(n, s.type.load, s.default) for n, s in self.specs.items()]
+        self.encoders = [(name, t.encode) for name, t in zip(self.specs, types)]
+        self.releasing = [(i, t) for i, t in enumerate(types) if t.releases]
+        self.check, self.allowed = check, frozenset(fields) | extra
+        self.releases = bool(self.releasing)
+
+    def load(self, raw: Any, wire: bool = True) -> tuple:
+        if isinstance(raw, dict):
+            if wire and not self.allowed.issuperset(raw):
+                raise _malformed(f"unknown fields {sorted(raw.keys() - self.allowed)}")
+        elif wire:
+            raise _malformed(f"expected an object, got {type(raw).__name__}")
+        else:  # a build entry: every field, in order
+            entry = raw if isinstance(raw, (list, tuple)) else _sequence(raw)
+            if len(entry) != len(self.specs):
+                raise _malformed(f"expected {len(self.specs)} fields, got {entry!r}")
+            raw = dict(zip(self.specs, entry))
+        values = []
+        for name, load, default in self.loaders:
+            value = raw.get(name, default)
+            if value is not default:
+                try:
+                    value = load(value, wire)
+                except ProtocolError as exc:
+                    raise _malformed(f"malformed {name}: {exc}") from None
+            elif value is _MISSING:
+                raise _malformed(f"missing required field {name!r}")
+            values.append(value)  # a default is valid as it stands
+        if self.check is not None:
+            self.check(*values)
+        return tuple(values)
+
+    def encode(self, value: tuple) -> dict:  # an entry: its fields are JSON-ready
+        return dict(zip(self.specs, value))
+
+    def released(self, value: tuple) -> List[Tuple[int, ...]]:
+        return [s for i, t in self.releasing for s in t.released(value[i])]
+
+
+SUBSET = _Ints(release="subset")
+POSITIONS = _Ints(release="positions")
+BITS = _Ints(bits=True)
+INT = _Scalar("an integer", lambda raw: type(raw) is not bool, operator.index)
+BIT = _Scalar(
+    "0 or 1", lambda raw: type(raw) is not bool and raw in _BIT_VALUES, operator.index
+)
+NUMBER = _Scalar(
+    "a finite number",
+    lambda raw: type(raw) is not bool and isinstance(raw, Real) and math.isfinite(raw),
+    float,
+)
+TEXT = _Scalar("a string", lambda raw: isinstance(raw, str))
+NAME = _Scalar("a non-empty string", lambda raw: isinstance(raw, str) and raw != "")
+OPTIONAL_NAME = _Spec(
+    _Scalar("a non-empty string or null", lambda raw: raw is None or NAME.accepts(raw)),
+    None,
+)
+KW_OPTIONAL_NAME = OPTIONAL_NAME._replace(kw_only=True)
+
+
+def _choice(*options: str) -> _Scalar:
+    return _Scalar(f"one of {list(options)}", lambda raw: raw in options)
+
+
+# A worker-side rebalance mutation runs in two stages: ``prepare`` builds
+# the post-handoff engine off to the side (a read: the worker keeps
+# serving its current range), ``commit`` installs the staged engine (a
+# pointer swap, so the coordinator's commit barrier holds for
+# microseconds, not for a store rebuild).
+STAGE = _Spec(_choice("prepare", "commit"), kw_only=True)
+
+
+# Cross-field checks, each given its record's parsed fields in order.
+def _width(subset: Tuple[int, ...], value: Tuple[int, ...], *_: Any) -> None:
+    if len(value) != len(subset):
+        raise _malformed(f"value width {len(value)} is not subset size {len(subset)}")
+
+
+def _widths(subset: Tuple[int, ...], values: tuple) -> None:
+    if set(map(len, values)) - {len(subset)}:
+        widths = [len(value) for value in values]
+        raise _malformed(f"value widths {widths} are not subset size {len(subset)}")
+
+
+def _group_widths(op: str, subsets: tuple, groups: tuple) -> None:
+    widths = tuple(map(len, subsets))
+    for group in groups:
+        if tuple(map(len, group)) != widths:
+            got = [len(value) for value in group]
+            raise _malformed(f"group value widths {got} are not subset sizes {widths}")
+
+
+def _distinct(left: str, right: str) -> None:
+    if left == right:
+        raise _malformed(f"cannot merge shard {left!r} with itself")
+
+
+def _left_for_carve(op: str, boundary: Any, left_path: Any, *_: Any) -> None:
+    if op == "carve" and left_path is None:
+        raise _malformed("carve snapshots require a left_path")
+
+
+#: kind -> request class, the dispatch registry both the serialiser and
+#: :meth:`QueryEngine.execute` share.  Each kind registers on definition.
+REQUEST_KINDS: Dict[str, Type["QueryRequest"]] = {}
 
 
 # ----------------------------------------------------------------------
-# Request dataclasses
+# Request dataclasses: each kind's field table
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class QueryRequest:
     """Base class: one typed, versioned, JSON-serialisable query request.
 
-    Subclasses declare a unique ``kind`` and tuple-typed fields; the
-    generic :meth:`body`/:meth:`_from_body` machinery (re)builds them, so
+    A subclass declares its kind once: ``kind`` and any cross-field
+    ``check`` in the class statement, then its fields in order, each
+    annotated with its tuple type and assigned its strict field type (a
+    ``_Spec`` for a default or a keyword-only ``build`` argument).  This
+    class generates ``build``, :meth:`body`, ``_from_body`` and
+    :meth:`subsets_released` from that table, so
     ``loads_request(dumps_request(x)) == x`` holds for every kind.
     """
 
     kind: ClassVar[str] = ""
+    _schema: ClassVar[_Record] = _Record({})
+    _positional: ClassVar[Tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, kind: str = "", check: Optional[Callable] = None):
+        if not kind:  # a plain subclass keeps its parent's kind and table
+            return
+        names = list(cls.__dict__.get("__annotations__", {}))
+        schema = _Record({n: cls.__dict__[n] for n in names}, check, _ENVELOPE_KEYS)
+        for name in names:
+            delattr(cls, name)
+        for name in reversed(names):  # trailing defaults reach the constructor
+            if schema.specs[name].default is _MISSING:
+                break
+            setattr(cls, name, schema.specs[name].default)
+        cls.kind, cls._schema = kind, schema
+        cls._positional = tuple(n for n in names if not schema.specs[n].kw_only)
+        REQUEST_KINDS[kind] = dataclass(frozen=True)(cls)
+
+    @classmethod
+    def build(cls, *args: Any, **kwargs: Any) -> Any:
+        """A request from Python values, under the wire's field types;
+        positional arguments fill the fields not keyword-only, in order."""
+        raw, specs = dict(zip(cls._positional, args), **kwargs), cls._schema.specs
+        if len(raw) < len(args) + len(kwargs) or not raw.keys() <= specs.keys():
+            raise TypeError(f"{cls.__name__}.build() got unexpected arguments")
+        return cls(*cls._schema.load(raw, wire=False))
+
+    @classmethod
+    def _from_body(cls, body: dict) -> Any:
+        return cls(*cls._schema.load(body))
 
     def body(self) -> dict:
         """The JSON body: ``kind`` plus this request's fields, in order."""
         payload: Dict[str, Any] = {"kind": self.kind}
-        for field in fields(self):
-            payload[field.name] = encode_result(getattr(self, field.name))
+        for name, encode in self._schema.encoders:
+            value = getattr(self, name)
+            payload[name] = value if encode is None else encode(value)
         return payload
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
@@ -198,206 +412,60 @@ class QueryRequest:
         may touch more columns engine-side; the perimeter charges the
         declared surface, which is what the analyst learns about).
         """
-        raise NotImplementedError
+        values = [getattr(self, name) for name in self._schema.specs]
+        return tuple(dict.fromkeys(self._schema.released(values)))
 
 
-@dataclass(frozen=True)
-class CountsBlockRequest(QueryRequest):
+class CountsBlockRequest(QueryRequest, kind="counts_block", check=_widths):
     """Batched counts for several candidate values of one subset."""
 
-    subset: Tuple[int, ...]
-    values: Tuple[Tuple[int, ...], ...]
-
-    kind: ClassVar[str] = "counts_block"
-
-    @classmethod
-    def build(
-        cls, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> "CountsBlockRequest":
-        subset_t = _int_tuple(subset, "subset")
-        return cls(
-            subset=subset_t,
-            values=tuple(
-                _value_tuple(value, len(subset_t), "values") for value in values
-            ),
-        )
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "CountsBlockRequest":
-        return cls.build(_require(body, "subset"), _require(body, "values"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return (self.subset,)
+    subset: Tuple[int, ...] = SUBSET
+    values: Tuple[Tuple[int, ...], ...] = _ListOf(BITS)
 
 
-@dataclass(frozen=True)
-class EstimateManyRequest(QueryRequest):
+class EstimateManyRequest(QueryRequest, kind="estimate_many", check=_widths):
     """Full Algorithm 2 estimates (fraction, count, CI) for many values."""
 
-    subset: Tuple[int, ...]
-    values: Tuple[Tuple[int, ...], ...]
-
-    kind: ClassVar[str] = "estimate_many"
-
-    @classmethod
-    def build(
-        cls, subset: Sequence[int], values: Sequence[Sequence[int]]
-    ) -> "EstimateManyRequest":
-        subset_t = _int_tuple(subset, "subset")
-        return cls(
-            subset=subset_t,
-            values=tuple(
-                _value_tuple(value, len(subset_t), "values") for value in values
-            ),
-        )
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "EstimateManyRequest":
-        return cls.build(_require(body, "subset"), _require(body, "values"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return (self.subset,)
+    subset: Tuple[int, ...] = SUBSET
+    values: Tuple[Tuple[int, ...], ...] = _ListOf(BITS)
 
 
-@dataclass(frozen=True)
-class MarginalRequest(QueryRequest):
+class MarginalRequest(QueryRequest, kind="marginal"):
     """All ``2**|B|`` de-biased frequencies of one subset (MSB-first)."""
 
-    subset: Tuple[int, ...]
-
-    kind: ClassVar[str] = "marginal"
-
-    @classmethod
-    def build(cls, subset: Sequence[int]) -> "MarginalRequest":
-        return cls(subset=_int_tuple(subset, "subset"))
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "MarginalRequest":
-        return cls.build(_require(body, "subset"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return (self.subset,)
+    subset: Tuple[int, ...] = SUBSET
 
 
-@dataclass(frozen=True)
-class FractionRequest(QueryRequest):
+class FractionRequest(QueryRequest, kind="fraction", check=_width):
     """One fraction; partition-combined when the subset was not sketched."""
 
-    subset: Tuple[int, ...]
-    value: Tuple[int, ...]
-
-    kind: ClassVar[str] = "fraction"
-
-    @classmethod
-    def build(cls, subset: Sequence[int], value: Sequence[int]) -> "FractionRequest":
-        subset_t = _int_tuple(subset, "subset")
-        return cls(subset=subset_t, value=_value_tuple(value, len(subset_t), "value"))
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "FractionRequest":
-        return cls.build(_require(body, "subset"), _require(body, "value"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return (self.subset,)
+    subset: Tuple[int, ...] = SUBSET
+    value: Tuple[int, ...] = BITS
 
 
-@dataclass(frozen=True)
-class AnyOfRequest(QueryRequest):
+class AnyOfRequest(QueryRequest, kind="any_of"):
     """Appendix F disjunction: ``(subset, value)`` per component conjunction."""
 
-    queries: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
-
-    kind: ClassVar[str] = "any_of"
-
-    @classmethod
-    def build(
-        cls, queries: Sequence[Tuple[Sequence[int], Sequence[int]]]
-    ) -> "AnyOfRequest":
-        built = []
-        for subset, value in queries:
-            subset_t = _int_tuple(subset, "any_of subset")
-            built.append((subset_t, _value_tuple(value, len(subset_t), "any_of value")))
-        return cls(queries=tuple(built))
-
-    def body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "queries": [
-                {"subset": list(subset), "value": list(value)}
-                for subset, value in self.queries
-            ],
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "AnyOfRequest":
-        raw = _require(body, "queries")
-        if not isinstance(raw, (list, tuple)):
-            raise ProtocolError(
-                "malformed_request", "any_of queries must be a list of objects"
-            )
-        queries = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                queries.append((_require(entry, "subset"), _require(entry, "value")))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                queries.append((entry[0], entry[1]))
-            else:
-                raise ProtocolError(
-                    "malformed_request",
-                    f"malformed any_of component: {entry!r}",
-                )
-        return cls.build(queries)
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(dict.fromkeys(subset for subset, _ in self.queries))
+    queries: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = _ListOf(
+        _Record({"subset": SUBSET, "value": BITS}, _width)
+    )
 
 
-@dataclass(frozen=True)
-class ExactlyLRequest(QueryRequest):
+class ExactlyLRequest(QueryRequest, kind="exactly_l"):
     """Fraction of users with exactly ``l`` of the given bits set."""
 
-    positions: Tuple[int, ...]
-    l: int
-
-    kind: ClassVar[str] = "exactly_l"
-
-    @classmethod
-    def build(cls, positions: Sequence[int], l: int) -> "ExactlyLRequest":
-        return cls(positions=_int_tuple(positions, "positions"), l=_int(l, "l"))
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ExactlyLRequest":
-        return cls.build(_require(body, "positions"), _require(body, "l"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(dict.fromkeys((pos,) for pos in self.positions))
+    positions: Tuple[int, ...] = POSITIONS
+    l: int = INT
 
 
-@dataclass(frozen=True)
-class BitMatrixRequest(QueryRequest):
+class BitMatrixRequest(QueryRequest, kind="bit_matrix"):
     """The p-perturbed per-bit indicator matrix over aligned users."""
 
-    positions: Tuple[int, ...]
-    target: int = 1
-
-    kind: ClassVar[str] = "bit_matrix"
-
-    @classmethod
-    def build(cls, positions: Sequence[int], target: int = 1) -> "BitMatrixRequest":
-        return cls(
-            positions=_int_tuple(positions, "positions"), target=_int(target, "target")
-        )
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "BitMatrixRequest":
-        return cls.build(_require(body, "positions"), body.get("target", 1))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(dict.fromkeys((pos,) for pos in self.positions))
+    positions: Tuple[int, ...] = POSITIONS
+    target: int = _Spec(BIT, 1)
 
 
-@dataclass(frozen=True)
-class EvaluatePlanRequest(QueryRequest):
+class EvaluatePlanRequest(QueryRequest, kind="evaluate_plan"):
     """A compiled :class:`LinearPlan`: ``(subset, value, coefficient)`` terms.
 
     Any Section 4.1 query family the compilers produce (sums, means,
@@ -406,98 +474,30 @@ class EvaluatePlanRequest(QueryRequest):
     engine just executes the linear combination.
     """
 
-    terms: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], float], ...]
-    description: str = ""
-
-    kind: ClassVar[str] = "evaluate_plan"
-
-    @classmethod
-    def build(
-        cls,
-        terms: Sequence[Tuple[Sequence[int], Sequence[int], float]],
-        description: str = "",
-    ) -> "EvaluatePlanRequest":
-        built = []
-        for entry in terms:
-            if len(entry) != 3:
-                raise ProtocolError(
-                    "malformed_request", f"malformed plan term: {entry!r}"
-                )
-            subset, value, coefficient = entry
-            subset_t = _int_tuple(subset, "plan subset")
-            try:
-                coefficient_f = float(coefficient)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    "malformed_request", f"malformed plan coefficient: {exc}"
-                ) from exc
-            built.append(
-                (subset_t, _value_tuple(value, len(subset_t), "plan value"), coefficient_f)
-            )
-        return cls(terms=tuple(built), description=str(description))
+    terms: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], float], ...] = _ListOf(
+        _Record(
+            {"subset": SUBSET, "value": BITS, "coefficient": _Spec(NUMBER, 1.0)},
+            _width,
+        )
+    )
+    description: str = _Spec(TEXT, "")
 
     @classmethod
     def from_plan(cls, plan: LinearPlan) -> "EvaluatePlanRequest":
-        return cls.build(
-            [(term.subset, term.value, term.coefficient) for term in plan.terms],
-            description=plan.description,
-        )
+        terms = [(term.subset, term.value, term.coefficient) for term in plan.terms]
+        return cls.build(terms, description=plan.description)
 
     def to_plan(self) -> LinearPlan:
         return LinearPlan(
             terms=tuple(
-                PlanTerm(
-                    Conjunction(
-                        tuple(Literal(pos, bit) for pos, bit in zip(subset, value))
-                    ),
-                    coefficient,
-                )
+                PlanTerm(Conjunction(tuple(map(Literal, subset, value))), coefficient)
                 for subset, value, coefficient in self.terms
             ),
             description=self.description,
         )
 
-    def body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms": [
-                {"subset": list(subset), "value": list(value), "coefficient": coefficient}
-                for subset, value, coefficient in self.terms
-            ],
-            "description": self.description,
-        }
 
-    @classmethod
-    def _from_body(cls, body: dict) -> "EvaluatePlanRequest":
-        raw = _require(body, "terms")
-        if not isinstance(raw, (list, tuple)):
-            raise ProtocolError(
-                "malformed_request", "plan terms must be a list of objects"
-            )
-        terms = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                terms.append(
-                    (
-                        _require(entry, "subset"),
-                        _require(entry, "value"),
-                        entry.get("coefficient", 1.0),
-                    )
-                )
-            elif isinstance(entry, (list, tuple)) and len(entry) == 3:
-                terms.append((entry[0], entry[1], entry[2]))
-            else:
-                raise ProtocolError(
-                    "malformed_request", f"malformed plan term: {entry!r}"
-                )
-        return cls.build(terms, description=body.get("description", ""))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(dict.fromkeys(subset for subset, _, _ in self.terms))
-
-
-@dataclass(frozen=True)
-class ShardPartialRequest(QueryRequest):
+class ShardPartialRequest(QueryRequest, kind="shard_partial", check=_group_widths):
     """Shard-internal partial-statistics request (coordinator → shard worker).
 
     Not part of the analyst surface: the shard coordinator decomposes
@@ -526,64 +526,14 @@ class ShardPartialRequest(QueryRequest):
     catalog, made before any fan-out.
     """
 
-    op: str
-    subsets: Tuple[Tuple[int, ...], ...]
-    groups: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    OPS = ("bit_sums", "weight_counts", "matrix_rows")
 
-    kind: ClassVar[str] = "shard_partial"
-    OPS: ClassVar[Tuple[str, ...]] = ("bit_sums", "weight_counts", "matrix_rows")
-
-    @classmethod
-    def build(
-        cls,
-        op: str,
-        subsets: Sequence[Sequence[int]],
-        groups: Sequence[Sequence[Sequence[int]]],
-    ) -> "ShardPartialRequest":
-        if op not in cls.OPS:
-            raise ProtocolError(
-                "malformed_request",
-                f"unknown shard partial op {op!r}; expected one of {list(cls.OPS)}",
-            )
-        subset_ts = tuple(_int_tuple(s, "shard partial subset") for s in subsets)
-        if not subset_ts:
-            raise ProtocolError("malformed_request", "shard partial names no subsets")
-        built_groups = []
-        for group in groups:
-            if len(group) != len(subset_ts):
-                raise ProtocolError(
-                    "malformed_request",
-                    f"shard partial group carries {len(group)} values "
-                    f"for {len(subset_ts)} subsets",
-                )
-            built_groups.append(
-                tuple(
-                    _value_tuple(value, len(subset_t), "shard partial value")
-                    for subset_t, value in zip(subset_ts, group)
-                )
-            )
-        return cls(op=str(op), subsets=subset_ts, groups=tuple(built_groups))
-
-    def body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "subsets": [list(s) for s in self.subsets],
-            "groups": [[list(v) for v in group] for group in self.groups],
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ShardPartialRequest":
-        return cls.build(
-            _require(body, "op"), _require(body, "subsets"), _require(body, "groups")
-        )
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(dict.fromkeys(self.subsets))
+    op: str = _choice(*OPS)
+    subsets: Tuple[Tuple[int, ...], ...] = _ListOf(SUBSET, nonempty=True)
+    groups: Tuple[Tuple[Tuple[int, ...], ...], ...] = _ListOf(_ListOf(BITS))
 
 
-@dataclass(frozen=True)
-class PingRequest(QueryRequest):
+class PingRequest(QueryRequest, kind="ping"):
     """Liveness probe: the cheapest possible round-trip.
 
     Served at the perimeter without touching the engine or the
@@ -594,22 +544,8 @@ class PingRequest(QueryRequest):
     even though its process is still alive.
     """
 
-    kind: ClassVar[str] = "ping"
 
-    @classmethod
-    def build(cls) -> "PingRequest":
-        return cls()
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "PingRequest":
-        return cls()
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
-
-
-@dataclass(frozen=True)
-class StatusRequest(QueryRequest):
+class StatusRequest(QueryRequest, kind="status"):
     """Ops surface: uptime, per-kind request counts, cache hit/miss,
     active kernel tier, accountant remaining, per-shard breaker state.
 
@@ -617,30 +553,8 @@ class StatusRequest(QueryRequest):
     *server*, releases no sketched subset, and costs no budget.
     """
 
-    kind: ClassVar[str] = "status"
 
-    @classmethod
-    def build(cls) -> "StatusRequest":
-        return cls()
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "StatusRequest":
-        return cls()
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
-
-
-def _nonempty_str(value: Any, label: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(
-            "malformed_request", f"{label} must be a non-empty string, got {value!r}"
-        )
-    return value
-
-
-@dataclass(frozen=True)
-class RebalanceSplitRequest(QueryRequest):
+class RebalanceSplitRequest(QueryRequest, kind="rebalance_split"):
     """Admin surface: split a live shard's user range in two.
 
     Served by the shard coordinator only (a single-store engine answers
@@ -651,34 +565,11 @@ class RebalanceSplitRequest(QueryRequest):
     Releases no sketched subset, so the accountant charges nothing.
     """
 
-    shard_id: str
-    boundary: Optional[str]
-
-    kind: ClassVar[str] = "rebalance_split"
-
-    @classmethod
-    def build(
-        cls, shard_id: str, boundary: Optional[str] = None
-    ) -> "RebalanceSplitRequest":
-        if boundary is not None:
-            boundary = _nonempty_str(boundary, "split boundary")
-        return cls(
-            shard_id=_nonempty_str(shard_id, "split shard_id"), boundary=boundary
-        )
-
-    def body(self) -> dict:
-        return {"kind": self.kind, "shard_id": self.shard_id, "boundary": self.boundary}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "RebalanceSplitRequest":
-        return cls.build(_require(body, "shard_id"), body.get("boundary"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
+    shard_id: str = NAME
+    boundary: Optional[str] = OPTIONAL_NAME
 
 
-@dataclass(frozen=True)
-class RebalanceMergeRequest(QueryRequest):
+class RebalanceMergeRequest(QueryRequest, kind="rebalance_merge", check=_distinct):
     """Admin surface: merge two *adjacent* live shards into the left one.
 
     The right shard exports its columns and warm cache, the left shard
@@ -686,54 +577,17 @@ class RebalanceMergeRequest(QueryRequest):
     flips.  Coordinator-only, budget-free, like ``rebalance_split``.
     """
 
-    left: str
-    right: str
-
-    kind: ClassVar[str] = "rebalance_merge"
-
-    @classmethod
-    def build(cls, left: str, right: str) -> "RebalanceMergeRequest":
-        left = _nonempty_str(left, "merge left shard")
-        right = _nonempty_str(right, "merge right shard")
-        if left == right:
-            raise ProtocolError(
-                "malformed_request", f"cannot merge shard {left!r} with itself"
-            )
-        return cls(left=left, right=right)
-
-    def body(self) -> dict:
-        return {"kind": self.kind, "left": self.left, "right": self.right}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "RebalanceMergeRequest":
-        return cls.build(_require(body, "left"), _require(body, "right"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
+    left: str = NAME
+    right: str = NAME
 
 
-@dataclass(frozen=True)
-class RebalanceStatusRequest(QueryRequest):
+class RebalanceStatusRequest(QueryRequest, kind="rebalance_status"):
     """Admin surface: the current shard ranges plus any in-flight or
     recovered rebalance — phase, participants, and completion counters.
     Budget-free, like the other admin kinds."""
 
-    kind: ClassVar[str] = "rebalance_status"
 
-    @classmethod
-    def build(cls) -> "RebalanceStatusRequest":
-        return cls()
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "RebalanceStatusRequest":
-        return cls()
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
-
-
-@dataclass(frozen=True)
-class ShardSnapshotRequest(QueryRequest):
+class ShardSnapshotRequest(QueryRequest, kind="shard_snapshot", check=_left_for_carve):
     """Worker-internal prepare step (service → shard worker).
 
     ``op="carve"``: write the worker's columns split at ``boundary``
@@ -746,86 +600,16 @@ class ShardSnapshotRequest(QueryRequest):
     alone.  Not part of the analyst surface.
     """
 
-    op: str
-    boundary: Optional[str]
-    left_path: Optional[str]
-    right_path: str
-    warm_path: Optional[str]
+    OPS = ("carve", "export")
 
-    kind: ClassVar[str] = "shard_snapshot"
-    OPS: ClassVar[Tuple[str, ...]] = ("carve", "export")
-
-    @classmethod
-    def build(
-        cls,
-        op: str,
-        right_path: str,
-        *,
-        boundary: Optional[str] = None,
-        left_path: Optional[str] = None,
-        warm_path: Optional[str] = None,
-    ) -> "ShardSnapshotRequest":
-        if op not in cls.OPS:
-            raise ProtocolError(
-                "malformed_request",
-                f"unknown snapshot op {op!r}; expected one of {list(cls.OPS)}",
-            )
-        if op == "carve" and left_path is None:
-            raise ProtocolError(
-                "malformed_request", "carve snapshots require a left_path"
-            )
-        return cls(
-            op=str(op),
-            boundary=None if boundary is None else _nonempty_str(boundary, "boundary"),
-            left_path=None
-            if left_path is None
-            else _nonempty_str(left_path, "left_path"),
-            right_path=_nonempty_str(right_path, "right_path"),
-            warm_path=None
-            if warm_path is None
-            else _nonempty_str(warm_path, "warm_path"),
-        )
-
-    def body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "op": self.op,
-            "boundary": self.boundary,
-            "left_path": self.left_path,
-            "right_path": self.right_path,
-            "warm_path": self.warm_path,
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ShardSnapshotRequest":
-        return cls.build(
-            _require(body, "op"),
-            _require(body, "right_path"),
-            boundary=body.get("boundary"),
-            left_path=body.get("left_path"),
-            warm_path=body.get("warm_path"),
-        )
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
+    op: str = _choice(*OPS)
+    boundary: Optional[str] = KW_OPTIONAL_NAME
+    left_path: Optional[str] = KW_OPTIONAL_NAME
+    right_path: str = NAME
+    warm_path: Optional[str] = KW_OPTIONAL_NAME
 
 
-def _valid_stage(stage: str) -> str:
-    """A worker-side rebalance mutation runs in two stages: ``prepare``
-    builds the post-handoff engine off to the side (a read: the worker
-    keeps serving its current range), ``commit`` installs the staged
-    engine (a pointer swap, so the coordinator's commit barrier holds
-    for microseconds, not for a store rebuild)."""
-    if stage not in ("prepare", "commit"):
-        raise ProtocolError(
-            "malformed_request",
-            f"unknown rebalance stage {stage!r}; choose from ['prepare', 'commit']",
-        )
-    return stage
-
-
-@dataclass(frozen=True)
-class ShardAdoptRequest(QueryRequest):
+class ShardAdoptRequest(QueryRequest, kind="shard_adopt"):
     """Worker-internal merge step: load the handoff store at
     ``handoff_path``, merge it after the worker's own range, persist the
     merged store to ``save_path``, and install any carried warm entries
@@ -834,55 +618,13 @@ class ShardAdoptRequest(QueryRequest):
     engine in under the worker's write gate while the coordinator holds
     the commit barrier.  Not part of the analyst surface."""
 
-    handoff_path: str
-    warm_path: Optional[str]
-    save_path: str
-    stage: str
-
-    kind: ClassVar[str] = "shard_adopt"
-
-    @classmethod
-    def build(
-        cls,
-        handoff_path: str,
-        save_path: str,
-        *,
-        stage: str,
-        warm_path: Optional[str] = None,
-    ) -> "ShardAdoptRequest":
-        return cls(
-            handoff_path=_nonempty_str(handoff_path, "handoff_path"),
-            warm_path=None
-            if warm_path is None
-            else _nonempty_str(warm_path, "warm_path"),
-            save_path=_nonempty_str(save_path, "save_path"),
-            stage=_valid_stage(stage),
-        )
-
-    def body(self) -> dict:
-        return {
-            "kind": self.kind,
-            "handoff_path": self.handoff_path,
-            "warm_path": self.warm_path,
-            "save_path": self.save_path,
-            "stage": self.stage,
-        }
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ShardAdoptRequest":
-        return cls.build(
-            _require(body, "handoff_path"),
-            _require(body, "save_path"),
-            warm_path=body.get("warm_path"),
-            stage=_require(body, "stage"),
-        )
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
+    handoff_path: str = NAME
+    warm_path: Optional[str] = KW_OPTIONAL_NAME
+    save_path: str = NAME
+    stage: str = STAGE
 
 
-@dataclass(frozen=True)
-class ShardDropRequest(QueryRequest):
+class ShardDropRequest(QueryRequest, kind="shard_drop"):
     """Worker-internal split step: shed every user ``>= boundary``,
     keeping the left carve (whose store file was already written at
     prepare) and the matching slice of each warm cache entry.
@@ -891,53 +633,8 @@ class ShardDropRequest(QueryRequest):
     the worker's write gate inside the commit barrier.  Not part of the
     analyst surface."""
 
-    boundary: str
-    stage: str
-
-    kind: ClassVar[str] = "shard_drop"
-
-    @classmethod
-    def build(cls, boundary: str, *, stage: str) -> "ShardDropRequest":
-        return cls(
-            boundary=_nonempty_str(boundary, "drop boundary"),
-            stage=_valid_stage(stage),
-        )
-
-    def body(self) -> dict:
-        return {"kind": self.kind, "boundary": self.boundary, "stage": self.stage}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ShardDropRequest":
-        return cls.build(_require(body, "boundary"), stage=_require(body, "stage"))
-
-    def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
-        return ()
-
-
-#: kind -> request class, the dispatch registry both the serialiser and
-#: :meth:`QueryEngine.execute` share.
-REQUEST_KINDS: Dict[str, Type[QueryRequest]] = {
-    cls.kind: cls
-    for cls in (
-        CountsBlockRequest,
-        EstimateManyRequest,
-        MarginalRequest,
-        FractionRequest,
-        AnyOfRequest,
-        ExactlyLRequest,
-        BitMatrixRequest,
-        EvaluatePlanRequest,
-        ShardPartialRequest,
-        PingRequest,
-        StatusRequest,
-        RebalanceSplitRequest,
-        RebalanceMergeRequest,
-        RebalanceStatusRequest,
-        ShardSnapshotRequest,
-        ShardAdoptRequest,
-        ShardDropRequest,
-    )
-}
+    boundary: str = NAME
+    stage: str = STAGE
 
 
 # ----------------------------------------------------------------------
@@ -1056,6 +753,13 @@ def decode_result(kind: str, result: Any) -> Any:
 # ----------------------------------------------------------------------
 # Serialisation entry points
 # ----------------------------------------------------------------------
+_DEADLINE_MS = _Scalar(
+    "deadline_ms as a finite number >= 0",
+    lambda raw: NUMBER.accepts(raw) and raw >= 0,
+    float,
+)
+
+
 def dumps_request(
     request: QueryRequest, *, deadline_ms: Optional[float] = None
 ) -> str:
@@ -1080,8 +784,9 @@ def loads_request_envelope(payload: str) -> Tuple[QueryRequest, Optional[float]]
     Returns ``(request, deadline_seconds)`` where ``deadline_seconds``
     is ``None`` when the envelope carries no ``deadline_ms`` field.  A
     ``deadline_ms`` of 0 is a valid, already-expired deadline (a
-    forwarding hop may run out of budget mid-flight); a negative or
-    non-numeric one is ``malformed_request``.
+    forwarding hop may run out of budget mid-flight); a negative,
+    non-numeric or non-finite one (``NaN``, ``Infinity``, ``1e400``) is
+    ``malformed_request``.
 
     Raises
     ------
@@ -1092,7 +797,7 @@ def loads_request_envelope(payload: str) -> Tuple[QueryRequest, Optional[float]]
     """
     message = loads_wire_message(payload, REQUEST_TAG, PROTOCOL_VERSION)
     kind = message.get("kind")
-    request_cls = REQUEST_KINDS.get(kind)
+    request_cls = REQUEST_KINDS.get(kind) if isinstance(kind, str) else None
     if request_cls is None:
         raise ProtocolError(
             "unknown_kind",
@@ -1101,13 +806,7 @@ def loads_request_envelope(payload: str) -> Tuple[QueryRequest, Optional[float]]
         )
     deadline_s: Optional[float] = None
     if "deadline_ms" in message:
-        raw = message["deadline_ms"]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw < 0:
-            raise ProtocolError(
-                "malformed_request",
-                f"deadline_ms must be a non-negative number, got {raw!r}",
-            )
-        deadline_s = float(raw) / 1000.0
+        deadline_s = _DEADLINE_MS.load(message["deadline_ms"]) / 1000.0
     return request_cls._from_body(message), deadline_s
 
 
@@ -1129,7 +828,9 @@ def dumps_response(response: QueryResponse) -> str:
 def loads_response(payload: str) -> QueryResponse:
     """Parse one response payload (result stays JSON-native)."""
     message = loads_wire_message(payload, RESPONSE_TAG, PROTOCOL_VERSION)
-    return QueryResponse(kind=message.get("kind"), result=_require(message, "result"))
+    if "result" not in message:
+        raise _malformed("response is missing required field 'result'")
+    return QueryResponse(kind=message.get("kind"), result=message["result"])
 
 
 def dumps_error(error: QueryError) -> str:
@@ -1144,9 +845,7 @@ def dumps_error(error: QueryError) -> str:
 def loads_error(payload: str) -> QueryError:
     """Parse one structured error envelope."""
     message = loads_wire_message(payload, ERROR_TAG, PROTOCOL_VERSION)
-    return QueryError(
-        code=str(_require(message, "code")), message=str(_require(message, "message"))
-    )
+    return QueryError(TEXT.load(message.get("code")), TEXT.load(message.get("message")))
 
 
 def parse_reply(payload: str) -> QueryResponse:
@@ -1235,7 +934,7 @@ def dumps_hello(token: str) -> str:
 def loads_hello(payload: str) -> str:
     """Parse the opening handshake; returns the bearer token."""
     message = loads_wire_message(payload, HELLO_TAG, PROTOCOL_VERSION)
-    return str(_require(message, "token"))
+    return TEXT.load(message.get("token"))
 
 
 def dumps_welcome(analyst: str) -> str:
@@ -1246,4 +945,4 @@ def dumps_welcome(analyst: str) -> str:
 def loads_welcome(payload: str) -> str:
     """Parse the handshake reply; returns the analyst name."""
     message = loads_wire_message(payload, WELCOME_TAG, PROTOCOL_VERSION)
-    return str(_require(message, "analyst"))
+    return TEXT.load(message.get("analyst"))

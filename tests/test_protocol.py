@@ -13,12 +13,13 @@ Three layers of guarantees:
   exception on the transport.
 """
 
+import dataclasses
 import json
 import socket
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BiasedPRF, PrivacyParams, SketchEstimator, Sketcher
@@ -47,6 +48,8 @@ from repro.protocol import (
     StatusRequest,
     QueryError,
     RemoteQueryError,
+    ERROR_CODES,
+    HELLO_TAG,
     REQUEST_KINDS,
     REQUEST_TAG,
     decode_result,
@@ -60,7 +63,9 @@ from repro.protocol import (
     estimate_to_payload,
     exception_from_error,
     loads_error,
+    loads_hello,
     loads_request,
+    loads_request_envelope,
     loads_response,
     loads_welcome,
     loads_wire_message,
@@ -135,6 +140,102 @@ def plan_requests(draw):
         [(subset, value, coeff) for (subset, value), coeff in terms],
         description=draw(st.text(max_size=20)),
     )
+
+
+NAN = float("nan")
+PLAN_TERM = {"subset": [0, 1], "value": [1, 0], "coefficient": 3.0}
+
+#: Bodies a strict parser must refuse as ``malformed_request``; each was
+#: once coerced into a different, valid query (or escaped as a bare
+#: ``TypeError``, answered ``invalid_query``).
+MALFORMED_BODIES = [
+    pytest.param({"kind": "marginal", "subset": "12"}, id="string-subset"),
+    pytest.param({"kind": "marginal", "subset": {"0": 5, "1": 7}}, id="mapping-subset"),
+    pytest.param({"kind": "marginal", "subset": [0.9, 1.7]}, id="float-subset"),
+    pytest.param({"kind": "marginal", "subset": [True, 1]}, id="bool-subset"),
+    pytest.param(
+        {"kind": "fraction", "subset": [0, 1], "value": [1.5, 0.2]}, id="float-value"
+    ),
+    pytest.param(
+        {"kind": "counts_block", "subset": [0, 1], "values": [[True, 1]]},
+        id="bool-value",
+    ),
+    pytest.param({"kind": "exactly_l", "positions": [0, 1], "l": 1.9}, id="float-l"),
+    pytest.param({"kind": "exactly_l", "positions": [0, 1], "l": True}, id="bool-l"),
+    pytest.param(
+        {"kind": "bit_matrix", "positions": [0, 1], "target": "1"}, id="string-target"
+    ),
+    # Containers that are not lists.
+    pytest.param(
+        {"kind": "counts_block", "subset": [0, 1], "values": 5}, id="int-values"
+    ),
+    pytest.param(
+        {"kind": "estimate_many", "subset": [0, 1], "values": 5},
+        id="int-estimate-values",
+    ),
+    pytest.param(
+        {"kind": "shard_partial", "op": "bit_sums", "subsets": 5, "groups": []},
+        id="int-partial-subsets",
+    ),
+    pytest.param(
+        {"kind": "shard_partial", "op": "bit_sums", "subsets": [[0]], "groups": 5},
+        id="int-partial-groups",
+    ),
+    pytest.param(
+        {"kind": "shard_partial", "op": "bit_sums", "subsets": [[0]], "groups": [5]},
+        id="int-partial-group",
+    ),
+    # Keys the kind does not declare.
+    pytest.param(
+        {"kind": "bit_matrix", "positions": [0], "targte": 0}, id="unknown-key-targte"
+    ),
+    pytest.param(
+        {
+            "kind": "evaluate_plan",
+            "terms": [{"subset": [0, 1], "value": [1, 0], "coef": 3.0}],
+        },
+        id="unknown-term-key-coef",
+    ),
+    # Plan coefficients that are not finite numbers.
+    pytest.param(
+        {"kind": "evaluate_plan", "terms": [dict(PLAN_TERM, coefficient="2.5")]},
+        id="string-coefficient",
+    ),
+    pytest.param(
+        {"kind": "evaluate_plan", "terms": [dict(PLAN_TERM, coefficient=True)]},
+        id="bool-coefficient",
+    ),
+    pytest.param(
+        {"kind": "evaluate_plan", "terms": [dict(PLAN_TERM, coefficient="nan")]},
+        id="string-nan-coefficient",
+    ),
+    pytest.param(  # json writes the bare NaN token, which json also reads
+        {"kind": "evaluate_plan", "terms": [dict(PLAN_TERM, coefficient=NAN)]},
+        id="nan-literal-coefficient",
+    ),
+    pytest.param(
+        {"kind": "evaluate_plan", "terms": [PLAN_TERM], "description": {"a": 1}},
+        id="mapping-description",
+    ),
+    # The retired bare-list entry shapes.
+    pytest.param(
+        {"kind": "any_of", "queries": [[[0, 1], [1, 0]]]}, id="list-any-of-entry"
+    ),
+    pytest.param(
+        {"kind": "evaluate_plan", "terms": [[[0, 1], [1, 0], 3.0]]},
+        id="list-plan-term",
+    ),
+    # Bits and targets outside {0, 1}.
+    pytest.param(
+        {"kind": "counts_block", "subset": [0, 1], "values": [[0, 2]]}, id="bit-2"
+    ),
+    pytest.param({"kind": "fraction", "subset": [0], "value": [-1]}, id="bit-minus-1"),
+    pytest.param(
+        {"kind": "any_of", "queries": [{"subset": [0], "value": [7]}]},
+        id="any-of-bit-7",
+    ),
+    pytest.param({"kind": "bit_matrix", "positions": [0], "target": 7}, id="target-7"),
+]
 
 
 class TestRoundTrips:
@@ -286,10 +387,9 @@ class TestEnvelope:
             loads_request(json.dumps({"format": REQUEST_TAG, "version": 99}))
         assert info.value.code == "unsupported_version"
 
-    def test_unknown_kind(self):
-        payload = dumps_wire_message(
-            REQUEST_TAG, PROTOCOL_VERSION, {"kind": "histogram_3d"}
-        )
+    @pytest.mark.parametrize("kind", ["histogram_3d", ["x"], {"k": 1}, 5, None])
+    def test_unknown_kind(self, kind):
+        payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, {"kind": kind})
         with pytest.raises(ProtocolError, match="unknown request kind") as info:
             loads_request(payload)
         assert info.value.code == "unknown_kind"
@@ -322,35 +422,20 @@ class TestEnvelope:
             loads_request(payload)
         assert info.value.code == "malformed_request"
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            {"kind": "marginal", "subset": "12"},
-            {"kind": "marginal", "subset": {"0": 5, "1": 7}},
-            {"kind": "marginal", "subset": [0.9, 1.7]},
-            {"kind": "marginal", "subset": [True, 1]},
-            {"kind": "fraction", "subset": [0, 1], "value": [1.5, 0.2]},
-            {"kind": "counts_block", "subset": [0, 1], "values": [[True, 1]]},
-            {"kind": "exactly_l", "positions": [0, 1], "l": 1.9},
-            {"kind": "exactly_l", "positions": [0, 1], "l": True},
-            {"kind": "bit_matrix", "positions": [0, 1], "target": "1"},
-        ],
-        ids=[
-            "string-subset",
-            "mapping-subset",
-            "float-subset",
-            "bool-subset",
-            "float-value",
-            "bool-value",
-            "float-l",
-            "bool-l",
-            "string-target",
-        ],
-    )
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
     def test_non_integer_fields_are_refused_not_coerced(self, body):
+        """Every body that is not exactly a valid request is refused whole:
+        never coerced, defaulted or truncated into a different query."""
         payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
         with pytest.raises(ProtocolError) as info:
             loads_request(payload)
+        assert info.value.code == "malformed_request"
+
+    @pytest.mark.parametrize("token", [5, None, ["a"]], ids=["int", "null", "list"])
+    def test_hello_token_must_be_a_string(self, token):
+        payload = dumps_wire_message(HELLO_TAG, PROTOCOL_VERSION, {"token": token})
+        with pytest.raises(ProtocolError) as info:
+            loads_hello(payload)
         assert info.value.code == "malformed_request"
 
     def test_numpy_integers_still_build_the_same_request(self):
@@ -424,9 +509,10 @@ def make_engine(num_users: int = 120, seed: int = 3):
     return QueryEngine(database.schema, store, SketchEstimator(params, prf))
 
 
-def served_replies(engine, lines):
+def served_replies(engine, lines, server=None):
     """Send raw request lines to a live server; return its reply lines."""
-    server = RemoteServer(engine, {"alice": "sesame"}, pool_size=0)
+    if server is None:
+        server = RemoteServer(engine, {"alice": "sesame"}, pool_size=0)
     with serve_in_thread(server) as (host, port):
         with socket.create_connection((host, port), timeout=10.0) as sock:
             stream = sock.makefile("rw", encoding="utf-8", newline="\n")
@@ -616,18 +702,6 @@ class TestLegacyShims:
             REQUEST_KINDS
         )
 
-    def test_deadline_rides_the_envelope_as_whole_milliseconds(self):
-        payload = dumps_request(MarginalRequest.build((1,)), deadline_ms=250.7)
-        assert payload == json.dumps(
-            {
-                "format": REQUEST_TAG,
-                "version": PROTOCOL_VERSION,
-                "kind": "marginal",
-                "subset": [1],
-                "deadline_ms": 250,
-            }
-        )
-
     def test_handle_returns_error_envelope_for_malformed_payload(self):
         (reply,) = served_replies(make_engine(), ["{truncated"])
         error = loads_error(reply)
@@ -662,3 +736,107 @@ class TestLegacyShims:
         assert decode_result(response.kind, response.result) == engine.counts_block(
             (0, 1), values
         )
+
+
+class TestRefusedRequestsCostNoBudget:
+    """A body the parser refuses never reaches the perimeter's charge."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "counts_block", "subset": [0, 1], "values": [[0, 2]]},
+            {"kind": "bit_matrix", "positions": [0], "target": 7},
+            {"kind": "bit_matrix", "positions": [0], "targte": 0},
+        ],
+        ids=["bit-2", "target-7", "unknown-key"],
+    )
+    def test_refused_request_leaves_budget_unchanged(self, body):
+        engine = make_engine()
+        # epsilon=1000 with p=0.3 affords exactly 2 subset releases.
+        server = RemoteServer(engine, {"alice": "sesame"}, epsilon=1000.0, pool_size=0)
+        refused = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
+        replies = served_replies(engine, [refused, refused], server=server)
+        codes = [loads_error(reply).code for reply in replies]
+        assert codes == ["malformed_request"] * 2
+        assert server.remaining_sketches("alice") == 2
+        # The accountant is live: a valid request is charged one release.
+        valid = dumps_request(CountsBlockRequest.build((0, 1), [(1, 1)]))
+        loads_response(served_replies(engine, [valid], server=server)[0])
+        assert server.remaining_sketches("alice") == 1
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the untrusted parsers: random JSON bodies
+# ----------------------------------------------------------------------
+FIELD_NAMES = sorted(
+    {field.name for cls in REQUEST_KINDS.values() for field in dataclasses.fields(cls)}
+    | {"coefficient", "deadline_ms", "token"}
+)
+keys = st.one_of(st.sampled_from(FIELD_NAMES), st.text(max_size=6))
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=3),
+        st.integers(),
+        st.floats(),  # NaN and +-inf included
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(keys, children, max_size=3)
+    ),
+    max_leaves=12,
+)
+kinds = st.one_of(st.sampled_from(sorted(REQUEST_KINDS)), json_values)
+
+
+@st.composite
+def request_bodies(draw):
+    """A random body, or a valid one with one key replaced, dropped or added."""
+    if draw(st.booleans()):
+        body = dict(draw(st.dictionaries(keys, json_values, max_size=5)))
+        body["kind"] = draw(kinds)
+        return body
+    body = draw(st.sampled_from(GOLDEN_REQUESTS)).values[0]().body()
+    key = draw(st.one_of(st.sampled_from(sorted(body)), keys))
+    if draw(st.booleans()):
+        body.pop(key, None)
+    else:
+        body[key] = draw(json_values)
+    return body
+
+
+class TestFuzzedBodies:
+    """Any body parses to a request that re-encodes byte-identically, or is
+    refused with a structured code; never any other exception."""
+
+    @settings(
+        max_examples=400,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(request_bodies())
+    def test_request_envelope(self, body):
+        payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
+        try:
+            request, _ = loads_request_envelope(payload)
+        except ProtocolError as exc:
+            assert exc.code in ERROR_CODES
+            return
+        line = dumps_request(request)
+        again = loads_request(line)
+        assert again == request
+        assert dumps_request(again) == line
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.dictionaries(keys, json_values, max_size=3))
+    def test_hello(self, body):
+        payload = dumps_wire_message(HELLO_TAG, PROTOCOL_VERSION, body)
+        try:
+            token = loads_hello(payload)
+        except ProtocolError as exc:
+            assert exc.code in ERROR_CODES
+            return
+        assert token == body["token"]
+        assert loads_hello(dumps_hello(token)) == token

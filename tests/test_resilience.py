@@ -233,7 +233,11 @@ class TestDeadlineEnvelope:
         assert request.kind == "counts_block"
         assert deadline_s == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("bad", ["1.5s", True, -3, [100]])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1.5s", True, -3, [100], float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["string", "bool", "negative", "list", "NaN", "inf", "-inf", "400-digits"],
+    )
     def test_malformed_deadline_is_typed(self, bad):
         payload = json.loads(dumps_request(PingRequest.build()))
         payload["deadline_ms"] = bad

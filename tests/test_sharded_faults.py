@@ -13,6 +13,7 @@ be rebuilt from the checkpoint alone.
 from __future__ import annotations
 
 import os
+import socket
 import threading
 
 import numpy as np
@@ -23,9 +24,13 @@ from repro.data import bernoulli_panel
 from repro.protocol import (
     CountsBlockRequest,
     EstimateManyRequest,
+    dumps_hello,
+    dumps_request,
     dumps_response,
     error_from_exception,
     exception_from_error,
+    loads_error,
+    loads_response,
 )
 from repro.server import (
     QueryEngine,
@@ -142,6 +147,33 @@ class TestKillAndRejoin:
         with pytest.raises(ValueError, match=r"unknown shard id 'nope'.*shard-0"):
             service.restart_shard("nope")
         assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
+
+
+class TestWireDeadline:
+    def test_non_finite_deadline_is_malformed_through_the_coordinator(self, service):
+        """``Infinity``, ``1e400`` and ``NaN`` are JSON-parseable deadlines
+        that once reached the shard fan-out (an OverflowError, or a NaN
+        deadline reported as exceeded); each is now refused up front."""
+        line = dumps_request(REQUEST)
+        front = RemoteServer(service.coordinator, {"alice": "sesame"})
+        with serve_in_thread(front) as (host, port):
+            with socket.create_connection((host, port), timeout=30.0) as sock:
+                stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+                stream.write(dumps_hello("sesame") + "\n")
+                stream.flush()
+                stream.readline()
+                for raw in ("Infinity", "1e400", "NaN"):
+                    stream.write(line[:-1] + f', "deadline_ms": {raw}}}\n')
+                    stream.flush()
+                    error = loads_error(stream.readline())
+                    assert error.code == "malformed_request", (raw, error)
+                    assert "deadline_ms" in error.message
+                # The session still answers a request with a finite deadline.
+                stream.write(line[:-1] + ', "deadline_ms": 30000}\n')
+                stream.flush()
+                reply = stream.readline().rstrip("\n")
+                assert dumps_response(loads_response(reply)) == service.expected
+                stream.close()
 
 
 class TestErrorEnvelope:
