@@ -145,9 +145,9 @@ def plan_requests(draw):
 NAN = float("nan")
 PLAN_TERM = {"subset": [0, 1], "value": [1, 0], "coefficient": 3.0}
 
-#: Bodies a strict parser must refuse as ``malformed_request``; each was
-#: once coerced into a different, valid query (or escaped as a bare
-#: ``TypeError``, answered ``invalid_query``).
+#: Bodies a strict parser must refuse as ``malformed_request``: a lenient
+#: one would coerce each into a different, valid query, or let it escape
+#: as a bare ``TypeError`` (answered ``invalid_query``).
 MALFORMED_BODIES = [
     pytest.param({"kind": "marginal", "subset": "12"}, id="string-subset"),
     pytest.param({"kind": "marginal", "subset": {"0": 5, "1": 7}}, id="mapping-subset"),

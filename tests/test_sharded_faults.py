@@ -151,9 +151,10 @@ class TestKillAndRejoin:
 
 class TestWireDeadline:
     def test_non_finite_deadline_is_malformed_through_the_coordinator(self, service):
-        """``Infinity``, ``1e400`` and ``NaN`` are JSON-parseable deadlines
-        that once reached the shard fan-out (an OverflowError, or a NaN
-        deadline reported as exceeded); each is now refused up front."""
+        """JSON parses ``Infinity``, ``1e400`` and ``NaN``; as deadlines
+        they would reach the shard fan-out (an OverflowError converting
+        the budget, or a NaN budget read as exceeded), so each is refused
+        before dispatch."""
         line = dumps_request(REQUEST)
         front = RemoteServer(service.coordinator, {"alice": "sesame"})
         with serve_in_thread(front) as (host, port):
