@@ -129,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(LRU eviction past the cap; default unlimited)",
     )
     demo.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="age out superseded cache generations: sibling store "
-        "directories untouched for this many seconds are reclaimed at "
-        "engine start (never the live generation; only meaningful with "
-        "--cache-dir)",
-    )
-    demo.add_argument(
         "--kernel", choices=["auto", "c", "numpy"], default=None,
         help="kernel tier for the CounterPRF hot loop: 'c' demands the "
         "compiled GIL-releasing extension, 'numpy' forces the fallback, "
@@ -236,9 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--watchdog", type=float, default=5.0, metavar="SECONDS",
         help="watchdog probe interval for sharded serving: ping every "
-        "worker this often and auto-restart dead or hung ones with a "
-        "warm cache rejoin (0 disables; only meaningful with --shards; "
-        "default: 5)",
+        "worker this often and auto-restart dead or hung ones (0 "
+        "disables; only meaningful with --shards; default: 5).  Workers "
+        "served here keep no persistent cache, so a restarted worker "
+        "rejoins cold; a warm rejoin needs a ShardedService built with "
+        "cache=True",
     )
 
     query = subparsers.add_parser(
@@ -383,9 +378,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.cache_ttl is not None and args.cache_ttl < 0:
-        print(f"error: cache TTL must be >= 0, got {args.cache_ttl}", file=sys.stderr)
-        return 2
     if args.kernel is not None:
         from .core import kernels
 
@@ -449,7 +441,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         database.schema, store, SketchEstimator(params, prf),
         cache_dir=args.cache_dir, cache_budget_bytes=args.cache_budget,
         memory_budget_bytes=args.memory_budget,
-        generation_ttl_seconds=args.cache_ttl,
     )
     value = tuple([1] * args.width)
     estimate = engine.estimate(subset, value)
@@ -483,12 +474,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             f"  memory   = budget {args.memory_budget} byte(s); "
             f"{stats['memory_evictions']} eviction(s) / "
             f"{stats['memory_evicted_bytes']} byte(s)"
-        )
-    if args.cache_ttl is not None:
-        print(
-            f"  gen GC   = TTL {args.cache_ttl:g}s; reclaimed "
-            f"{stats['gc_directories']} superseded generation(s) / "
-            f"{stats['gc_bytes']} byte(s)"
         )
     return 0 if estimate.covers(truth) else 1
 

@@ -26,9 +26,10 @@ randomized response for wide queries, and benchmark E14 measures it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +106,22 @@ def condition_number(k: int, p: float) -> float:
     why per-bit reconstruction of wide conjunctions is hopeless while a
     single whole-subset sketch stays accurate.
     """
-    return float(np.linalg.cond(perturbation_matrix(k, p)))
+    return _kernel(int(k), float(p))[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(k: int, p: float) -> Tuple[np.ndarray, float]:
+    """Memoised read-only ``V`` and its condition number for ``(k, p)``.
+
+    A serving coordinator combines every ``any_of`` / ``exactly_l`` /
+    partition query through ``V``; building it and its SVD per query
+    cost more than the solve.  The result is bit-identical to a fresh
+    :func:`perturbation_matrix`, and the array is read-only so no
+    caller can alter the memo.
+    """
+    matrix = perturbation_matrix(k, p)
+    matrix.setflags(write=False)
+    return matrix, float(np.linalg.cond(matrix))
 
 
 def weight_histogram(bits_per_user: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -139,9 +155,7 @@ def solve_weight_counts(observed: np.ndarray, p: float) -> np.ndarray:
     the headline answer typically read ``x[-1]`` (all bits set) and clamp.
     """
     y = np.asarray(observed, dtype=np.float64)
-    k = y.size - 1
-    matrix = perturbation_matrix(k, p)
-    return np.linalg.solve(matrix, y)
+    return np.linalg.solve(_kernel(y.size - 1, float(p))[0], y)
 
 
 @dataclass(frozen=True)
@@ -180,19 +194,22 @@ class CombinedEstimate:
         return min(1.0, max(0.0, self.fraction))
 
 
-def combine_virtual_bits(bits_per_user: np.ndarray, p: float) -> CombinedEstimate:
-    """Appendix F reconstruction from a ``(users x k)`` virtual-bit matrix."""
-    array = np.asarray(bits_per_user)
-    histogram = weight_histogram(array)
+def _combined(histogram: np.ndarray, num_users: int, p: float) -> CombinedEstimate:
+    """Solve one weight histogram (fractions) into a :class:`CombinedEstimate`."""
     solved = solve_weight_counts(histogram, p)
-    k = array.shape[1]
     return CombinedEstimate(
         fraction=float(solved[-1]),
         none_fraction=float(solved[0]),
         weight_distribution=solved,
-        condition=condition_number(k, p),
-        num_users=array.shape[0],
+        condition=condition_number(histogram.size - 1, p),
+        num_users=int(num_users),
     )
+
+
+def combine_virtual_bits(bits_per_user: np.ndarray, p: float) -> CombinedEstimate:
+    """Appendix F reconstruction from a ``(users x k)`` virtual-bit matrix."""
+    array = np.asarray(bits_per_user)
+    return _combined(weight_histogram(array), array.shape[0], p)
 
 
 def combine_aligned_bits(
@@ -243,15 +260,7 @@ def combine_from_weight_counts(
         )
     if num_users <= 0:
         raise ValueError(f"num_users must be positive, got {num_users}")
-    k = histogram.size - 1
-    solved = solve_weight_counts(histogram / int(num_users), p)
-    return CombinedEstimate(
-        fraction=float(solved[-1]),
-        none_fraction=float(solved[0]),
-        weight_distribution=solved,
-        condition=condition_number(k, p),
-        num_users=int(num_users),
-    )
+    return _combined(histogram / int(num_users), num_users, p)
 
 
 def combine_sketch_groups(

@@ -12,7 +12,10 @@ helpers here are the single implementation of that contract:
 * :func:`loads_wire_message` parses a payload and rejects non-JSON
   input, foreign tags, and unsupported versions with a
   :class:`~repro.protocol.messages.ProtocolError` whose ``code`` slots
-  straight into the structured error envelope.
+  straight into the structured error envelope.  Its two halves,
+  :func:`parse_wire_json` and :func:`check_wire_message`, serve a
+  reader that must look at the tag before it knows which message to
+  expect.
 
 Versioning is per-tag: bumping the query-request version does not
 invalidate stored sketch archives, which carry their own version.
@@ -22,7 +25,14 @@ from __future__ import annotations
 
 import json
 
-__all__ = ["PROTOCOL_VERSION", "ProtocolError", "dumps_wire_message", "loads_wire_message"]
+__all__ = [
+    "PROTOCOL_VERSION",
+    "ProtocolError",
+    "check_wire_message",
+    "dumps_wire_message",
+    "loads_wire_message",
+    "parse_wire_json",
+]
 
 #: Version of the typed query request/response/error messages.
 PROTOCOL_VERSION = 1
@@ -63,12 +73,21 @@ def loads_wire_message(payload: str, expected_tag: str, expected_version: int) -
         this library does not speak.  The messages are identical to the
         historical ``ValueError`` texts, so existing matchers still hold.
     """
+    return check_wire_message(parse_wire_json(payload), expected_tag, expected_version)
+
+
+def parse_wire_json(payload: str) -> object:
+    """Parse one payload's JSON; non-JSON is ``malformed_request``."""
     try:
-        message = json.loads(payload)
+        return json.loads(payload)
     except json.JSONDecodeError as exc:
         raise ProtocolError(
             "malformed_request", f"malformed wire message: {exc}"
         ) from exc
+
+
+def check_wire_message(message: object, expected_tag: str, expected_version: int) -> dict:
+    """Validate an already-parsed message's envelope; returns the dict."""
     if not isinstance(message, dict) or message.get("format") != expected_tag:
         got = message.get("format") if isinstance(message, dict) else message
         raise ProtocolError(

@@ -54,7 +54,14 @@ from ..core.accountant import BudgetExceeded
 from ..core.estimator import QueryEstimate
 from ..queries.ast import Conjunction, Literal
 from ..queries.conjunctive import LinearPlan, PlanTerm
-from .envelope import PROTOCOL_VERSION, ProtocolError, dumps_wire_message, loads_wire_message
+from .envelope import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    check_wire_message,
+    dumps_wire_message,
+    loads_wire_message,
+    parse_wire_json,
+)
 
 __all__ = [
     "REQUEST_TAG",
@@ -827,7 +834,10 @@ def dumps_response(response: QueryResponse) -> str:
 
 def loads_response(payload: str) -> QueryResponse:
     """Parse one response payload (result stays JSON-native)."""
-    message = loads_wire_message(payload, RESPONSE_TAG, PROTOCOL_VERSION)
+    return _response_from(loads_wire_message(payload, RESPONSE_TAG, PROTOCOL_VERSION))
+
+
+def _response_from(message: dict) -> QueryResponse:
     if "result" not in message:
         raise _malformed("response is missing required field 'result'")
     return QueryResponse(kind=message.get("kind"), result=message["result"])
@@ -844,7 +854,10 @@ def dumps_error(error: QueryError) -> str:
 
 def loads_error(payload: str) -> QueryError:
     """Parse one structured error envelope."""
-    message = loads_wire_message(payload, ERROR_TAG, PROTOCOL_VERSION)
+    return _error_from(loads_wire_message(payload, ERROR_TAG, PROTOCOL_VERSION))
+
+
+def _error_from(message: dict) -> QueryError:
     return QueryError(TEXT.load(message.get("code")), TEXT.load(message.get("message")))
 
 
@@ -854,19 +867,13 @@ def parse_reply(payload: str) -> QueryResponse:
     The inverse of the server's dispatch: a response envelope is
     returned, an error envelope is re-raised as the exception its code
     maps to (so remote callers catch exactly what local callers catch).
+    The payload is parsed once; its tag picks the envelope to check.
     """
-    import json as _json
-
-    try:
-        probe = _json.loads(payload)
-    except _json.JSONDecodeError as exc:
-        raise ProtocolError(
-            "malformed_request", f"malformed wire message: {exc}"
-        ) from exc
-    tag = probe.get("format") if isinstance(probe, dict) else None
-    if tag == ERROR_TAG:
-        raise exception_from_error(loads_error(payload))
-    return loads_response(payload)
+    message = parse_wire_json(payload)
+    if isinstance(message, dict) and message.get("format") == ERROR_TAG:
+        error = check_wire_message(message, ERROR_TAG, PROTOCOL_VERSION)
+        raise exception_from_error(_error_from(error))
+    return _response_from(check_wire_message(message, RESPONSE_TAG, PROTOCOL_VERSION))
 
 
 # ----------------------------------------------------------------------

@@ -106,11 +106,6 @@ class QueryEngine(QueryCore):
     memory_budget_bytes:
         Optional byte cap for the in-process evaluation cache (LRU
         eviction past the cap); ``None`` (default) leaves it unbounded.
-    generation_ttl_seconds:
-        Opt-in age-out for superseded cache generations: sibling
-        ``store-*`` directories untouched for longer than this many
-        seconds are reclaimed when the engine starts.  ``None``
-        (default) never deletes them.
     """
 
     def __init__(
@@ -121,7 +116,6 @@ class QueryEngine(QueryCore):
         cache_dir: str | os.PathLike | None = None,
         cache_budget_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
-        generation_ttl_seconds: float | None = None,
     ) -> None:
         super().__init__()
         self.schema = schema
@@ -131,7 +125,6 @@ class QueryEngine(QueryCore):
             store, estimator, cache_dir=cache_dir,
             cache_budget_bytes=cache_budget_bytes,
             memory_budget_bytes=memory_budget_bytes,
-            generation_ttl_seconds=generation_ttl_seconds,
         )
         # Aligned intersections and integer partials, both valid while
         # the participating column sizes are unchanged.

@@ -14,10 +14,8 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import tempfile
 import threading
-import time
 
 try:  # POSIX file locking for cross-process sweep coordination.
     import fcntl
@@ -31,35 +29,102 @@ from ..core.estimator import QueryEstimate
 from ..core.prf import validate_value_bits
 from .collector import SketchColumn, SketchStore
 
-__all__ = ["SketchEvaluationCache", "store_content_hash"]
+__all__ = [
+    "SketchEvaluationCache",
+    "pack_column",
+    "store_content_hash",
+    "unpack_column",
+]
 
 Subset = Tuple[int, ...]
 
 _CACHE_FORMAT = "repro-eval-cache"
-# Version 2: entries are bit-packed (np.packbits behind an 8-byte length
-# header) and meta.json carries a per-column prefix-hash index so grown
-# stores can seed their fresh directory from an older one's columns.
-# The directory-name hash domain is bumped in step (store_content_hash),
-# so version-1 directories become invisible siblings — an upgraded
-# deployment recomputes transparently instead of failing on a
-# version-mismatched meta.json.
-_CACHE_VERSION = 2
+# Version 3: every packed entry ends in a digest binding it to its
+# directory's store hash and its (subset, value) key.  The directory-name
+# hash domain is bumped in step (store_content_hash), so older directories
+# become unused siblings — an upgraded deployment recomputes transparently
+# instead of failing on a version-mismatched meta.json.
+_CACHE_VERSION = 3
 # Little-endian uint64 bit count prepended to each packed entry:
 # np.packbits pads the last byte with zeros, so the true column length
-# must travel with the payload (entries seeded from an older directory
-# are strict prefixes of the current column).
+# must travel with the payload.
 _ENTRY_HEADER_BYTES = 8
+_ENTRY_DIGEST_BYTES = 16
+
+
+def _entry_digest(
+    scope: bytes, subset: Subset, value: Tuple[int, ...], body: bytes
+) -> bytes:
+    digest = hashlib.blake2b(digest_size=_ENTRY_DIGEST_BYTES)
+    digest.update(b"repro-eval-entry-v3|" + len(scope).to_bytes(4, "big") + scope)
+    digest.update(b"|B|" + ",".join(str(int(i)) for i in subset).encode("ascii"))
+    digest.update(b"|v|" + bytes(int(bit) for bit in value) + b"|")
+    digest.update(body)
+    return digest.digest()
+
+
+def pack_column(
+    bits: np.ndarray, scope: bytes, subset: Subset, value: Tuple[int, ...]
+) -> np.ndarray:
+    """One evaluation column as a packed, digested uint8 entry.
+
+    Layout: an 8-byte little-endian bit count, the ``np.packbits``
+    payload, then a 16-byte BLAKE2b digest over ``scope`` (the cache
+    passes its store hash), the ``(subset, value)`` key, the count and
+    the payload.  The digest makes a flipped bit, a truncated payload or
+    an entry copied under another key's name fail :func:`unpack_column`
+    instead of decoding as a different answer.  It is keyless: anyone
+    who can write the directory can also recompute it, so it detects
+    corruption and misplaced files, not a deliberate forgery.
+    """
+    column = np.ascontiguousarray(bits, dtype=np.int8)
+    header = int(column.size).to_bytes(_ENTRY_HEADER_BYTES, "little")
+    body = header + np.packbits(column.view(np.uint8)).tobytes()
+    digest = _entry_digest(scope, subset, value, body)
+    return np.frombuffer(body + digest, dtype=np.uint8)
+
+
+def unpack_column(
+    raw: np.ndarray,
+    scope: bytes,
+    subset: Subset,
+    value: Tuple[int, ...],
+    max_bits: int | None = None,
+) -> np.ndarray:
+    """Decode a :func:`pack_column` entry into an int8 column.
+
+    Raises :class:`ValueError` starting ``corrupt`` for a malformed entry
+    or a digest mismatch, and ``stale`` for a column longer than
+    ``max_bits``.
+    """
+    framing = _ENTRY_HEADER_BYTES + _ENTRY_DIGEST_BYTES
+    if raw.ndim != 1 or raw.dtype != np.uint8 or raw.size < framing:
+        raise ValueError("corrupt (not a packed uint8 column)")
+    num_bits = int.from_bytes(raw[:_ENTRY_HEADER_BYTES].tobytes(), "little")
+    if raw.size != framing + (num_bits + 7) // 8:
+        raise ValueError(f"corrupt (payload does not match {num_bits} packed bits)")
+    if max_bits is not None and num_bits > max_bits:
+        raise ValueError(
+            f"stale (holds {num_bits} evaluations but the store has only "
+            f"{max_bits} sketches for subset {subset}; refusing to reuse it)"
+        )
+    body, digest = raw[:-_ENTRY_DIGEST_BYTES], raw[-_ENTRY_DIGEST_BYTES:]
+    if _entry_digest(scope, subset, value, body.tobytes()) != digest.tobytes():
+        raise ValueError(f"corrupt (digest mismatch for subset {subset} value {value})")
+    unpacked = np.unpackbits(body[_ENTRY_HEADER_BYTES:], count=num_bits)
+    return unpacked.astype(np.int8)
 
 
 def store_content_hash(store: SketchStore, prf) -> str:
     """Content hash identifying a store's queryable state under one PRF.
 
     Covers everything a ``(subset, value) -> bits`` evaluation depends on:
-    the PRF identity (bias ``p`` and, when present, the public global key)
-    and each subset column's user ids, keys, and bit widths — in column
-    order, since cached vectors are positional.  The ``iterations``
-    diagnostics are deliberately excluded: they never enter the PRF, so a
-    store saved with or without them hashes (and caches) identically.
+    the PRF identity (bias ``p``, the public global key when present, and
+    the construction) and each subset column's user ids, keys, and bit
+    widths — in column order, since cached vectors are positional.  The
+    ``iterations`` diagnostics are deliberately excluded: they never enter
+    the PRF, so a store saved with or without them hashes (and caches)
+    identically.
     """
     return _content_hash_from_columns(store.to_columns(), prf)
 
@@ -68,15 +133,17 @@ def _content_hash_from_columns(columns: dict, prf) -> str:
     """:func:`store_content_hash` over an already-materialised column dict.
 
     Split out so the cache constructor can snapshot ``store.to_columns()``
-    once and share it between the content hash, the meta columns index,
-    and seed-directory discovery.
+    once and share it between the content hash and its column sizes.
     """
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"repro-eval-cache-v2|")
+    digest.update(b"repro-eval-cache-v3|")
     digest.update(repr(float(prf.p)).encode("ascii"))
     global_key = getattr(prf, "global_key", None)
     digest.update(b"|key|" + (global_key if global_key is not None else b"<none>"))
-    _update_algorithm(digest, prf)
+    # The PRF identity is (bias, key, construction): a CounterPRF under
+    # some key is a different function from a BiasedPRF under the same key.
+    algorithm = getattr(prf, "algorithm", "blake2b")
+    digest.update(b"|alg|" + str(algorithm).encode("ascii"))
     for subset, column in sorted(columns.items()):
         digest.update(b"|B|" + ",".join(str(i) for i in subset).encode("ascii"))
         # Length-prefix every id: ids may themselves contain NULs (the
@@ -88,49 +155,6 @@ def _content_hash_from_columns(columns: dict, prf) -> str:
             digest.update(len(encoded).to_bytes(4, "big") + encoded)
         digest.update(b"|keys|" + np.ascontiguousarray(column.keys).tobytes())
         digest.update(b"|bits|" + np.ascontiguousarray(column.num_bits).tobytes())
-    return digest.hexdigest()
-
-
-def _update_algorithm(digest, prf) -> None:
-    """Fold a non-default PRF construction into an identity digest.
-
-    The PRF *identity* is (bias, key, construction): a
-    :class:`~repro.core.prf.CounterPRF` under some key is a different
-    function from a :class:`~repro.core.prf.BiasedPRF` under the same
-    key, so their caches must live in different directories.  BLAKE2b —
-    the construction every pre-existing cache directory was written
-    under — contributes nothing, keeping those directory names (and the
-    warm caches behind them) stable.
-    """
-    algorithm = getattr(prf, "algorithm", "blake2b")
-    if algorithm != "blake2b":
-        digest.update(b"|alg|" + str(algorithm).encode("ascii"))
-
-
-def _column_prefix_hash(prf, subset: Subset, column: SketchColumn, size: int) -> str:
-    """Hash of one column's first ``size`` rows under one PRF.
-
-    The per-column unit of :func:`store_content_hash`: everything a
-    cached ``(subset, value) -> bits`` vector over those rows depends on
-    (PRF identity included, so a directory written under a different
-    global key can never seed this one).  Because store columns are
-    append-only, a grown store whose prefix hashes to an old directory's
-    recorded value can soundly treat that directory's entries as
-    prefixes of its own columns.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"repro-eval-cache-column-v2|")
-    digest.update(repr(float(prf.p)).encode("ascii"))
-    global_key = getattr(prf, "global_key", None)
-    digest.update(b"|key|" + (global_key if global_key is not None else b"<none>"))
-    _update_algorithm(digest, prf)
-    digest.update(b"|B|" + ",".join(str(i) for i in subset).encode("ascii"))
-    digest.update(b"|ids|")
-    for user_id in column.user_ids[:size]:
-        encoded = user_id.encode("utf-8")
-        digest.update(len(encoded).to_bytes(4, "big") + encoded)
-    digest.update(b"|keys|" + np.ascontiguousarray(column.keys[:size]).tobytes())
-    digest.update(b"|bits|" + np.ascontiguousarray(column.num_bits[:size]).tobytes())
     return digest.hexdigest()
 
 
@@ -158,42 +182,31 @@ class SketchEvaluationCache:
     oracle's bits are not a pure function of the store, so sharing them
     across processes would be wrong.
 
-    On-disk entries are **bit-packed** (``np.packbits`` behind an 8-byte
-    length header — 8x smaller than the int8 columns of cache version 1)
-    and the directory honours an optional **size budget**:
+    On-disk entries are **bit-packed** (:func:`pack_column`: an 8-byte
+    length header, ``np.packbits``, and a digest over the store hash and
+    the entry's key, so a corrupted or misplaced entry is refused, never
+    served as a different answer) and the directory honours an optional
+    **size budget**:
     ``cache_budget_bytes`` caps the total entry bytes, enforced by an
     LRU sweep over entry mtimes after each write batch (read recency is
     recorded in-process and flushed to entry mtimes just before each
     eviction decision, meta.json is never swept, and POSIX unlink keeps
     any concurrently-open entry readable).  ``cache_budget_bytes=0``
     disables persistence entirely — no directory is created or read.
-    ``meta.json`` additionally records a per-column prefix-hash index;
-    when a *grown* store (append-only tail extension, possibly with new
-    subsets) hashes to a fresh directory, sibling ``store-*`` directories
-    whose recorded column hashes match a prefix of the current columns
-    **seed** the fresh directory: their entries are read as prefixes,
-    tail-extended with one PRF call, and re-spilled at full length.
-    Sibling columns whose recorded hash mismatches (different PRF,
-    different users, tampering) are refused.  ``stats`` counts cache
-    ``hits`` / ``misses`` (per distinct requested value) and sweep
-    activity (``sweeps`` / ``swept_entries`` / ``swept_bytes``).
+    A grown store hashes to a fresh directory and computes its columns
+    once; the cache never reads or deletes a sibling ``store-*``
+    directory.  ``stats`` counts cache ``hits`` / ``misses`` (per
+    distinct requested value) and sweep activity (``sweeps`` /
+    ``swept_entries`` / ``swept_bytes``).
 
-    Two further budgets bound the cache's other growth axes:
-
-    * ``memory_budget_bytes`` caps the **in-process** ``_bits`` dict the
-      same way ``cache_budget_bytes`` caps the directory: entries are
-      kept in LRU order and evicted past the cap (``memory_evictions`` /
-      ``memory_evicted_bytes`` in ``stats``), so a pathological query
-      stream sweeping endless distinct ``(subset, value)`` pairs runs in
-      bounded memory — evicted columns are re-read from disk or
-      re-evaluated, never answered differently.  ``None`` (default)
-      keeps the historical unbounded behaviour.
-    * ``generation_ttl_seconds`` opts into **generation GC**: superseded
-      sibling ``store-*`` directories (older store generations this
-      directory no longer needs) whose newest content is older than the
-      TTL are deleted at construction time (``gc_directories`` /
-      ``gc_bytes`` in ``stats``).  The live generation is never
-      reclaimed.  ``None`` (default) never deletes sibling directories.
+    ``memory_budget_bytes`` caps the **in-process** ``_bits`` dict the
+    same way ``cache_budget_bytes`` caps the directory: entries are kept
+    in LRU order and evicted past the cap (``memory_evictions`` /
+    ``memory_evicted_bytes`` in ``stats``), so a pathological query
+    stream sweeping endless distinct ``(subset, value)`` pairs runs in
+    bounded memory — evicted columns are re-read from disk or
+    re-evaluated, never answered differently.  ``None`` (default) keeps
+    the historical unbounded behaviour.
     """
 
     def __init__(
@@ -203,7 +216,6 @@ class SketchEvaluationCache:
         cache_dir: str | os.PathLike | None = None,
         cache_budget_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
-        generation_ttl_seconds: float | None = None,
     ) -> None:
         self.store = store
         self.estimator = estimator
@@ -221,7 +233,7 @@ class SketchEvaluationCache:
         self._bits_bytes = 0
         self._dir: str | None = None
         self._column_sizes: dict[Subset, int] = {}
-        self._seed_dirs: List[Tuple[str, dict[Subset, int]]] = []
+        self._scope = b""  # the store hash every entry digest binds to
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -230,12 +242,9 @@ class SketchEvaluationCache:
             "swept_bytes": 0,
             "memory_evictions": 0,
             "memory_evicted_bytes": 0,
-            "gc_directories": 0,
-            "gc_bytes": 0,
         }
         self._dirty = False  # disk writes since the last budget sweep
         self._used_since_sweep: set = set()  # entry recency, flushed at sweep
-        self._prefix_hashes: dict[Tuple[Subset, int], str] = {}
         self._budget: int | None = None
         self._memory_budget: int | None = None
         if memory_budget_bytes is not None:
@@ -245,13 +254,6 @@ class SketchEvaluationCache:
                     f"memory_budget_bytes must be >= 0, got {memory_budget_bytes}"
                 )
             self._memory_budget = memory_budget_bytes
-        if generation_ttl_seconds is not None:
-            generation_ttl_seconds = float(generation_ttl_seconds)
-            if generation_ttl_seconds < 0:
-                raise ValueError(
-                    f"generation_ttl_seconds must be >= 0, got {generation_ttl_seconds}"
-                )
-        self._generation_ttl = generation_ttl_seconds
         if cache_budget_bytes is not None:
             cache_budget_bytes = int(cache_budget_bytes)
             if cache_budget_bytes < 0:
@@ -274,14 +276,14 @@ class SketchEvaluationCache:
                     "in-process, so its evaluations cannot be shared across "
                     "processes or restarts"
                 )
-            # One column snapshot shared by the content hash, the meta
-            # columns index, and seed discovery.
+            # One column snapshot shared by the content hash and the
+            # column sizes below.
             columns = store.to_columns()
             store_hash = _content_hash_from_columns(columns, self.estimator.prf)
-            root = os.fspath(cache_dir)
-            self._dir = os.path.join(root, f"store-{store_hash}")
+            self._scope = store_hash.encode("ascii")
+            self._dir = os.path.join(os.fspath(cache_dir), f"store-{store_hash}")
             os.makedirs(self._dir, exist_ok=True)
-            self._validate_or_write_meta(store_hash, columns)
+            self._validate_or_write_meta(store_hash)
             # Snapshot of the column sizes the hash was computed over:
             # if the store grows afterwards the in-memory tail extension
             # stays correct, but the directory no longer describes the
@@ -290,15 +292,6 @@ class SketchEvaluationCache:
             self._column_sizes = {
                 subset: len(column.user_ids) for subset, column in columns.items()
             }
-            self._seed_dirs = self._discover_seed_dirs(root, columns)
-            # Generation GC runs after seed discovery because *seedable*
-            # is what "superseded" means: a sibling whose columns are
-            # validated prefixes of ours is an older generation of this
-            # same store.  Unrelated stores sharing the cache root are
-            # never candidates — their live directories must survive any
-            # TTL.
-            if self._generation_ttl is not None:
-                self._sweep_generations()
 
     # ------------------------------------------------------------------
     # In-memory LRU layer
@@ -345,64 +338,7 @@ class SketchEvaluationCache:
     # ------------------------------------------------------------------
     # Persistent layer
     # ------------------------------------------------------------------
-    def _sweep_generations(self) -> None:
-        """Reclaim superseded predecessor directories past the TTL.
-
-        Every store growth leaves the previous generation's directory
-        behind as a sibling — useful briefly (the fresh directory seeds
-        its columns from it) but dead weight once re-spilled.  With
-        ``generation_ttl_seconds`` set, *seedable* siblings (validated
-        predecessors of this store, per :meth:`_discover_seed_dirs` —
-        unrelated stores sharing the cache root never qualify) whose
-        newest content (meta or entry, by mtime — reads refresh entry
-        mtimes under a budget) is older than the TTL are deleted whole
-        and dropped from the seed list.  The live generation — this
-        cache's own directory — is never a candidate, and removal is
-        best-effort: a directory a concurrent process is mid-write on
-        simply survives to the next sweep.
-
-        The TTL is the operator's promise that no live process still
-        serves — and no fresh generation still wants to seed from — a
-        directory that old: a long-lived engine on the old store whose
-        reads never touch disk (no byte budget, so no mtime refresh) can
-        have its directory reclaimed under it — it degrades gracefully
-        (``_atomic_write`` recreates the directory and re-spills;
-        answers never change) but loses its warm entries — and an
-        expired predecessor is reclaimed *without* first migrating its
-        entries (entry filenames are opaque hashes, so they cannot be
-        safely attributed to a validated subset without the query that
-        names them; a grown store restarting after a gap longer than the
-        TTL therefore recomputes cold).  Cross-process coordination
-        (lock file / refcount) is a ROADMAP item; until then pick a TTL
-        longer than any reader's idle span and any expected downtime.
-        """
-        assert self._dir is not None and self._generation_ttl is not None
-        deadline = time.time() - self._generation_ttl
-        survivors: List[Tuple[str, dict[Subset, int]]] = []
-        for seed_dir, seedable in self._seed_dirs:
-            newest = 0.0
-            total_bytes = 0
-            try:
-                with os.scandir(seed_dir) as it:
-                    for item in it:
-                        stat = item.stat()
-                        newest = max(newest, stat.st_mtime)
-                        total_bytes += stat.st_size
-            except OSError:
-                survivors.append((seed_dir, seedable))
-                continue
-            if newest > deadline:
-                survivors.append((seed_dir, seedable))
-                continue
-            shutil.rmtree(seed_dir, ignore_errors=True)
-            if os.path.exists(seed_dir):
-                survivors.append((seed_dir, seedable))
-            else:
-                self.stats["gc_directories"] += 1
-                self.stats["gc_bytes"] += total_bytes
-        self._seed_dirs = survivors
-
-    def _validate_or_write_meta(self, store_hash: str, store_columns: dict) -> None:
+    def _validate_or_write_meta(self, store_hash: str) -> None:
         assert self._dir is not None
         meta_path = os.path.join(self._dir, "meta.json")
         if os.path.exists(meta_path):
@@ -429,107 +365,21 @@ class SketchEvaluationCache:
                     "refusing to reuse it — delete the directory to recompute"
                 )
             return
-        # The per-column prefix-hash index: a future cache for a *grown*
-        # store consults it to decide whether this directory's entries
-        # are valid prefixes of its own columns (sound because store
-        # columns are append-only).
-        columns = {
-            ",".join(str(i) for i in subset): {
-                "size": len(column.user_ids),
-                "hash": self._prefix_hash(subset, column, len(column.user_ids)),
-            }
-            for subset, column in store_columns.items()
-        }
         meta = {
             "format": _CACHE_FORMAT,
             "version": _CACHE_VERSION,
             "store_hash": store_hash,
             "p": float(self.estimator.params.p),
-            "columns": columns,
         }
         self._atomic_write(meta_path, json.dumps(meta).encode("utf-8"))
-
-    def _prefix_hash(self, subset: Subset, column: SketchColumn, size: int) -> str:
-        """Memoised :func:`_column_prefix_hash` — columns are append-only
-        and the PRF is fixed per cache, so ``(subset, size)`` is a
-        sufficient key; meta creation and every sibling-directory probe
-        share one hashing pass per distinct prefix length."""
-        memo_key = (subset, size)
-        cached = self._prefix_hashes.get(memo_key)
-        if cached is None:
-            cached = _column_prefix_hash(self.estimator.prf, subset, column, size)
-            self._prefix_hashes[memo_key] = cached
-        return cached
-
-    def _discover_seed_dirs(
-        self, root: str, store_columns: dict
-    ) -> List[Tuple[str, dict[Subset, int]]]:
-        """Sibling ``store-*`` directories whose columns are validated
-        prefixes of this store's columns.
-
-        For every sibling directory, every subset whose recorded
-        ``(size, hash)`` matches :func:`_column_prefix_hash` over the
-        current column's first ``size`` rows becomes seedable from that
-        directory; mismatching columns (different PRF or users,
-        tampering) and unreadable/foreign metas are refused silently —
-        unrelated stores sharing one cache root are the normal case, not
-        an error.
-        """
-        assert self._dir is not None
-        seeds: List[Tuple[str, dict[Subset, int]]] = []
-        own = os.path.basename(self._dir)
-        try:
-            entries = sorted(
-                (e for e in os.scandir(root) if e.name.startswith("store-")),
-                key=lambda e: e.name,
-            )
-        except OSError:
-            return seeds
-        candidates = [e for e in entries if e.name != own and e.is_dir()]
-        if not candidates:
-            return seeds
-        current = store_columns
-        for candidate in candidates:
-            try:
-                with open(
-                    os.path.join(candidate.path, "meta.json"), "r", encoding="utf-8"
-                ) as handle:
-                    meta = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != _CACHE_FORMAT
-                or meta.get("version") != _CACHE_VERSION
-                or not isinstance(meta.get("columns"), dict)
-            ):
-                continue
-            seedable: dict[Subset, int] = {}
-            for subset, column in current.items():
-                record = meta["columns"].get(",".join(str(i) for i in subset))
-                if not isinstance(record, dict):
-                    continue
-                size, recorded = record.get("size"), record.get("hash")
-                if not isinstance(size, int) or not isinstance(recorded, str):
-                    continue
-                if not 0 < size <= len(column.user_ids):
-                    continue
-                if self._prefix_hash(subset, column, size) != recorded:
-                    continue
-                seedable[subset] = size
-            if seedable:
-                seeds.append((candidate.path, seedable))
-        return seeds
 
     def _atomic_write(self, path: str, payload: bytes) -> None:
         """Write-then-rename so sibling processes never see partial files.
 
-        The directory is recreated if missing: a sibling process's
-        generation GC may reclaim this directory while this engine is
-        live (its TTL only sees mtimes, and reads refresh them only
-        under a byte budget), and the correct degradation is to re-spill
-        into a fresh directory, not to crash the query that happened to
-        write next.
+        The directory is recreated if missing: an operator may delete it
+        while this engine is live, and the correct degradation is to
+        re-spill into a fresh directory, not to crash the query that
+        happened to write next.
         """
         assert self._dir is not None
         try:
@@ -556,33 +406,29 @@ class SketchEvaluationCache:
         return os.path.join(self._dir, f"{digest.hexdigest()}.npy")
 
     @staticmethod
-    def _pack_entry(bits: np.ndarray) -> bytes:
-        """Serialized packed entry: ``.npy`` of uint8 = length header + packbits."""
-        column = np.ascontiguousarray(bits, dtype=np.int8)
-        header = np.frombuffer(
-            int(column.size).to_bytes(_ENTRY_HEADER_BYTES, "little"), dtype=np.uint8
-        )
-        packed = np.packbits(column.view(np.uint8))
+    def _pack_entry(
+        bits: np.ndarray,
+        scope: bytes = b"",
+        subset: Subset = (),
+        value: Tuple[int, ...] = (),
+    ) -> bytes:
+        """Serialized entry file: ``.npy`` of one :func:`pack_column` entry."""
         buffer = io.BytesIO()
-        np.save(buffer, np.concatenate([header, packed]))
+        np.save(buffer, pack_column(bits, scope, subset, value))
         return buffer.getvalue()
 
-    def _read_entry(
-        self, path: str, max_bits: int, subset: Subset, strict: bool
+    def _disk_get(
+        self, subset: Subset, value: Tuple[int, ...], num_users: int
     ) -> np.ndarray | None:
-        """Decode one packed entry file into an int8 column, or ``None``.
+        """This directory's entry as an int8 column, or ``None``.
 
-        ``strict`` governs anomalies: entries in the cache's own
-        directory raise :class:`ValueError` (corruption/staleness under
-        the right hash must be loud), entries in best-effort *seed*
-        directories are skipped quietly.
+        Any anomaly in an entry under the right store hash — malformed,
+        digest mismatch, longer than the column — raises
+        :class:`ValueError`: corruption must be loud, never an answer.
         """
-
-        def reject(reason: str) -> np.ndarray | None:
-            if strict:
-                raise ValueError(f"{reason} evaluation-cache entry {path}")
+        if self._dir is None:
             return None
-
+        path = self._entry_path(subset, value)
         # Eager read, descriptor closed immediately: the unpack below
         # materialises a fresh int8 column regardless, so a memmap would
         # only pin an fd without saving a copy (packed payloads are
@@ -595,58 +441,11 @@ class SketchEvaluationCache:
             with handle:
                 raw = np.load(handle, allow_pickle=False)
         except (OSError, ValueError, EOFError) as exc:
-            if strict:
-                raise ValueError(
-                    f"corrupt evaluation-cache entry {path}: {exc}"
-                ) from exc
-            return None
-        if raw.ndim != 1 or raw.dtype != np.uint8 or raw.size < _ENTRY_HEADER_BYTES:
-            return reject("corrupt (not a packed uint8 column)")
-        num_bits = int.from_bytes(raw[:_ENTRY_HEADER_BYTES].tobytes(), "little")
-        if raw.size != _ENTRY_HEADER_BYTES + (num_bits + 7) // 8:
-            return reject(f"corrupt (payload does not match {num_bits} packed bits)")
-        if num_bits > max_bits:
-            if strict:
-                raise ValueError(
-                    f"stale evaluation-cache entry {path}: holds {num_bits} "
-                    f"evaluations but the store has only {max_bits} sketches "
-                    f"for subset {subset}; refusing to reuse it"
-                )
-            return None
-        unpacked = np.unpackbits(
-            np.asarray(raw[_ENTRY_HEADER_BYTES:], dtype=np.uint8), count=num_bits
-        )
-        return unpacked.astype(np.int8)
-
-    def _disk_get(
-        self, subset: Subset, value: Tuple[int, ...], num_users: int
-    ) -> np.ndarray | None:
-        """Cached column from this directory or a validated seed, or ``None``."""
-        if self._dir is None:
-            return None
-        path = self._entry_path(subset, value)
-        column = self._read_entry(path, num_users, subset, strict=True)
-        if column is not None:
-            return column
-        entry_name = os.path.basename(path)
-        for seed_dir, seedable in self._seed_dirs:
-            limit = seedable.get(subset)
-            if limit is None:
-                continue
-            seeded = self._read_entry(
-                os.path.join(seed_dir, entry_name), limit, subset, strict=False
-            )
-            if seeded is not None:
-                # A validated prefix of the current column.  A strict
-                # prefix is tail-extended by the caller and re-spilled at
-                # full length; an already-full column (growth added only
-                # new subsets) is re-spilled here, so this directory
-                # never stays dependent on the seed's survival.  The
-                # seed directory itself is never written to.
-                if seeded.size == num_users:
-                    self._disk_put(subset, value, seeded)
-                return seeded
-        return None
+            raise ValueError(f"corrupt evaluation-cache entry {path}: {exc}") from exc
+        try:
+            return unpack_column(raw, self._scope, subset, value, max_bits=num_users)
+        except ValueError as exc:
+            raise ValueError(f"evaluation-cache entry {path}: {exc}") from exc
 
     def _disk_put(self, subset: Subset, value: Tuple[int, ...], bits: np.ndarray) -> None:
         if self._dir is None:
@@ -655,7 +454,10 @@ class SketchEvaluationCache:
         # longer describes this store, so stop persisting into it.
         if self.store.num_users(subset) != self._column_sizes.get(subset):
             return
-        self._atomic_write(self._entry_path(subset, value), self._pack_entry(bits))
+        self._atomic_write(
+            self._entry_path(subset, value),
+            self._pack_entry(bits, self._scope, subset, value),
+        )
         # Sweeping is deferred to the end of the bits() batch: a cold
         # wide marginal writes up to 2**12 entries in one call, and a
         # directory scan per write would be quadratic in stat calls.
@@ -795,9 +597,7 @@ class SketchEvaluationCache:
         resolved: dict[Tuple[int, ...], np.ndarray] = {}
         misses: List[Tuple[int, ...]] = []
         # Prefix entries grouped by prefix length, so each distinct tail
-        # resolves in ONE block call covering every affected value (a
-        # store seeded from an older cache generation hits this path for
-        # every entry at once).
+        # resolves in ONE block call covering every affected value.
         extensions: dict[int, List[Tuple[Tuple[int, ...], np.ndarray]]] = {}
         seen: set = set()
         with self._mutex:
@@ -821,10 +621,9 @@ class SketchEvaluationCache:
                         self._used_since_sweep.add((subset, value))
                     resolved[value] = cached
                 elif cached is not None and 0 < cached.size < num_users:
-                    # A valid prefix (in-memory store growth, or a column
-                    # seeded from an older directory): reused, so a hit —
-                    # only the newly-published tail costs PRF work, batched
-                    # per prefix length below.
+                    # A valid prefix (in-memory store growth): reused, so a
+                    # hit — only the newly-published tail costs PRF work,
+                    # batched per prefix length below.
                     self.stats["hits"] += 1
                     extensions.setdefault(cached.size, []).append((value, cached))
                 else:

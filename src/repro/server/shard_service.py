@@ -149,7 +149,16 @@ class ShardedService:
         watchdog_probe_timeout: float = 2.0,
         events_limit: int = 1000,
     ) -> None:
-        self.shard_map = shard_map
+        # The checkpointed cache_state holds only the settings a recovered
+        # supervisor re-enables (from_checkpoint): each worker's cache
+        # directory is named by its store's content hash, so the settings
+        # alone bring a respawned worker back warm.
+        self.shard_map = replace(
+            shard_map,
+            cache_state={"enabled": True, "budget_bytes": cache_budget_bytes}
+            if cache
+            else None,
+        )
         self.prf = prf
         self.base_dir = os.fspath(base_dir)
         self._cache = bool(cache)
@@ -207,7 +216,7 @@ class ShardedService:
         # The service is the checkpoint's only writer; a supervisor that
         # dies before start() still leaves a recoverable map behind.
         self._checkpoint_path = os.path.join(self.base_dir, "shard_map.json")
-        shard_map.save(self._checkpoint_path)
+        self.checkpoint()
 
     @classmethod
     def from_store(
@@ -242,9 +251,9 @@ class ShardedService:
         The warm-rejoin contract: when the checkpoint records persistent
         cache state (:attr:`ShardMap.cache_state`) and the caller does
         not override it, caching is re-enabled with the recorded budget —
-        recovered workers reattach to their cache-generation directories
-        and answer repeat queries without a single new PRF call, with
-        zero operator action.
+        recovered workers reattach to their content-addressed cache
+        directories and answer repeat queries without a single new PRF
+        call, with zero operator action.
 
         A checkpoint carrying an in-flight rebalance record resolves it
         here, from the record alone — no operator action, no other
@@ -307,7 +316,6 @@ class ShardedService:
                 host, port = self._wait_ready(spec, timeout)
                 self._addresses[spec.shard_id] = (host, port)
                 self.coordinator.join(spec.shard_id, host, port, self._token)
-            self.checkpoint()
         if self._watchdog_interval is not None and self._watchdog_thread is None:
             self._watchdog_stop.clear()
             self._watchdog_thread = threading.Thread(
@@ -316,37 +324,8 @@ class ShardedService:
             self._watchdog_thread.start()
         return self
 
-    # -- cache-state checkpoint (the warm-rejoin contract) --------------
-    def _collect_cache_state(self) -> Optional[dict]:
-        """Per-shard cache-generation metadata, or ``None`` when caching
-        is off.  A *generation* is one ``store-<hash>/`` directory the
-        worker's :class:`~repro.server.evaluation_cache.SketchEvaluationCache`
-        populated; recording them alongside the shard map is what lets a
-        recovered supervisor prove its workers rejoined warm."""
-        if not self._cache:
-            return None
-        generations: Dict[str, List[str]] = {}
-        for spec in self.shard_map.shards:
-            root = os.path.join(self.base_dir, "cache", spec.shard_id)
-            try:
-                generations[spec.shard_id] = sorted(
-                    name
-                    for name in os.listdir(root)
-                    if name.startswith("store-")
-                )
-            except OSError:
-                generations[spec.shard_id] = []
-        return {
-            "enabled": True,
-            "budget_bytes": self._cache_budget,
-            "generations": generations,
-        }
-
     def checkpoint(self) -> None:
-        """Re-save the shard map with current persistent-cache metadata."""
-        self.shard_map = replace(
-            self.shard_map, cache_state=self._collect_cache_state()
-        )
+        """Durably save the current shard map (and its cache settings)."""
         self.shard_map.save(self._checkpoint_path)
 
     # -- the watchdog ---------------------------------------------------
@@ -920,7 +899,6 @@ class ShardedService:
             host, port = self._wait_ready(spec, timeout)
             self._addresses[shard_id] = (host, port)
             self.coordinator.join(shard_id, host, port, self._token)
-            self.checkpoint()
 
     def close(self) -> None:
         # Stop the watchdog first: a sweep racing the teardown would

@@ -34,6 +34,7 @@ from ..protocol.messages import (
 )
 from .collector import SketchStore
 from .engine import QueryEngine
+from .evaluation_cache import pack_column, unpack_column
 from .remote import RemoteServer
 from .serialization import load_store
 from .sharded import (
@@ -46,6 +47,9 @@ from .sharded import (
 
 __all__ = ["ShardWorkerEngine", "run_shard_worker"]
 
+#: The digest scope of warm-sidecar entries (the cache uses its store hash).
+_SIDECAR_SCOPE = b"warm-sidecar"
+
 
 # ----------------------------------------------------------------------
 # Handoff files: durable store snapshots + warm-cache sidecars
@@ -55,15 +59,17 @@ def _save_warm_sidecar(path: str, entries: Dict[tuple, np.ndarray]) -> int:
 
     ``entries`` maps ``(subset, value)`` to the per-user evaluation
     slice (in the handoff store's publication order for that subset).
-    Stored as an ``.npz`` with a JSON index member so the loader never
-    has to parse structure out of array names.  Returns the entry count.
+    Stored as an ``.npz`` of the evaluation cache's packed, digested
+    entries (:func:`~repro.server.evaluation_cache.pack_column`) with a
+    JSON index member, so the loader never has to parse structure out
+    of array names.  Returns the entry count.
     """
     index = []
     arrays: Dict[str, np.ndarray] = {}
     for i, ((subset, value), bits) in enumerate(sorted(entries.items())):
         name = f"e{i}"
         index.append({"subset": list(subset), "value": list(value), "name": name})
-        arrays[name] = np.ascontiguousarray(np.asarray(bits, dtype=np.int8))
+        arrays[name] = pack_column(bits, _SIDECAR_SCOPE, subset, value)
     buffer = io.BytesIO()
     np.savez(
         buffer,
@@ -77,23 +83,25 @@ def _save_warm_sidecar(path: str, entries: Dict[tuple, np.ndarray]) -> int:
 
 
 def _load_warm_sidecar(path: str) -> Dict[tuple, np.ndarray]:
-    """Load a warm sidecar; an unreadable or corrupt file loads empty.
+    """Load a warm sidecar; an unreadable or corrupt file loads empty,
+    and an entry that fails its digest is left out.
 
     Warmth is an optimisation, never a correctness input — a worker
-    that cannot read its sidecar simply starts cold for those entries.
+    that cannot read a sidecar entry simply starts cold for it.
     """
     entries: Dict[tuple, np.ndarray] = {}
     try:
         with np.load(path) as archive:
             index = json.loads(bytes(archive["__index__"]).decode("utf-8"))
             for record in index:
-                key = (
-                    tuple(int(i) for i in record["subset"]),
-                    tuple(int(v) for v in record["value"]),
-                )
-                entries[key] = np.ascontiguousarray(
-                    np.asarray(archive[record["name"]], dtype=np.int8)
-                )
+                subset = tuple(int(i) for i in record["subset"])
+                value = tuple(int(v) for v in record["value"])
+                try:
+                    entries[(subset, value)] = unpack_column(
+                        archive[record["name"]], _SIDECAR_SCOPE, subset, value
+                    )
+                except ValueError:
+                    continue
     except Exception:  # noqa: BLE001 - warmth only; cold is always correct
         return {}
     return entries
@@ -336,7 +344,7 @@ class ShardWorkerEngine:
         """Swap the wrapped engine onto ``store``, carrying warm entries.
 
         A fresh :class:`QueryEngine` (and therefore a fresh
-        content-addressed cache generation) is built rather than mutated
+        content-addressed cache directory) is built rather than mutated
         in place: the old cache directory describes the old column
         sizes, and its strict oversized-entry check would — correctly —
         refuse to serve them against a shrunken store.  Carried entries

@@ -298,10 +298,10 @@ class ShardMap:
     shards: Tuple[ShardSpec, ...]
     #: Optional persistent-cache metadata checkpointed alongside the map
     #: (see :meth:`ShardedService.checkpoint`): whether per-worker caches
-    #: are enabled, their byte budget, and the cache-generation
-    #: directories each worker had populated.  ``None`` ≡ no cache state
-    #: recorded — the field is omitted from the JSON, so pre-resilience
-    #: checkpoints load unchanged.
+    #: are enabled and their byte budget.  Other keys (older checkpoints
+    #: also listed each worker's cache directories) are ignored.  ``None``
+    #: ≡ no cache state recorded — the field is omitted from the JSON, so
+    #: pre-resilience checkpoints load unchanged.
     cache_state: Optional[dict] = None
     #: Optional in-flight rebalance record (shard-map v2): the two-phase
     #: handoff checkpoint.  ``None`` between rebalances.  When present,

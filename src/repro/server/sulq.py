@@ -140,7 +140,6 @@ class DualModeServer:
         cache_dir: str | os.PathLike | None = None,
         cache_budget_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
-        generation_ttl_seconds: float | None = None,
     ) -> None:
         self.paid = SulqServer(
             database,
@@ -155,14 +154,12 @@ class DualModeServer:
         # cache_dir the columns survive restarts too (bit-packed on
         # disk, keyed by the store's content hash — which includes the
         # PRF construction, so either backend may serve — optionally
-        # capped by cache_budget_bytes with an LRU sweep, by
-        # memory_budget_bytes in-process, and aged out per generation
-        # with generation_ttl_seconds).
+        # capped by cache_budget_bytes with an LRU sweep and by
+        # memory_budget_bytes in-process).
         self._cache = SketchEvaluationCache(
             self.store, estimator, cache_dir=cache_dir,
             cache_budget_bytes=cache_budget_bytes,
             memory_budget_bytes=memory_budget_bytes,
-            generation_ttl_seconds=generation_ttl_seconds,
         )
         self._log: List[QueryRecord] = []
 

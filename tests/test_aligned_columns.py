@@ -12,8 +12,8 @@ Three contracts:
 * the persistent-cache controls: bit-packed entries round-trip
   bit-identically, the LRU sweep respects the byte budget and never
   corrupts a concurrently-read entry, budget 0 disables persistence
-  cleanly, and prefix-hash migration seeds a grown store's directory only
-  from validated column prefixes.
+  cleanly, and a grown store computes full columns in a directory of its
+  own, leaving every sibling directory untouched.
 """
 
 from __future__ import annotations
@@ -442,9 +442,9 @@ class TestCacheControls:
         assert counting.block_calls == 1
 
     # ------------------------------------------------------------------
-    # Prefix-hash migration
+    # One directory per store generation
     # ------------------------------------------------------------------
-    def grown_pair(self, tmp_path, tamper=None):
+    def grown_pair(self, tmp_path):
         """An old cache dir for a 40-user store, plus the same store grown
         to 60 users (append-only tail extension) hashing elsewhere."""
         params, prf, _ = make_stack(5)
@@ -464,8 +464,6 @@ class TestCacheControls:
         )
         old_engine.estimate((0, 1), (1, 1))
         old_engine.cache.bits((2,), [(0,), (1,)])
-        if tamper is not None:
-            tamper(tmp_path / f"store-{store_content_hash(old_store, prf)}")
 
         grown_store = publish_database(
             first, fresh_sketcher(), SUBSETS, workers=1, seed=90
@@ -475,105 +473,38 @@ class TestCacheControls:
         )
         return params, prf, database, old_store, grown_store
 
-    def test_grown_store_seeds_from_old_directory(self, tmp_path):
+    def test_grown_store_computes_full_columns_and_leaves_siblings_intact(
+        self, tmp_path
+    ):
+        """A grown store gets a fresh directory of its own: it answers
+        exactly from full columns and never reads, writes or deletes its
+        older generation's directory or an unrelated store's."""
         params, prf, database, old_store, grown_store = self.grown_pair(tmp_path)
-        counting = CountingEstimator(params, prf)
-        engine = QueryEngine(
-            database.schema, grown_store, counting, cache_dir=tmp_path
-        )
-        estimate = engine.estimate((0, 1), (1, 1))
-        # Seeded from the old directory: only the 20-user tail hits the PRF.
-        assert counting.call_sizes == [20]
-        expected = SketchEstimator(params, prf).evaluations(
-            grown_store.sketches_for((0, 1)), (1, 1)
-        )
-        assert np.array_equal(engine.cache.bits((0, 1), [(1, 1)])[0], expected)
-        # The seeded+extended column was re-spilled at full length: a fresh
-        # engine answers from the new directory with zero PRF calls.
-        warm = CountingEstimator(params, prf)
-        warm_engine = QueryEngine(
-            database.schema, grown_store, warm, cache_dir=tmp_path
-        )
-        assert warm_engine.estimate((0, 1), (1, 1)).fraction == estimate.fraction
-        assert warm.block_calls == 0
-        # Several seeded-prefix values of one subset tail-extend in ONE
-        # batched block call over the 20 new rows, not one call per value.
-        batched = CountingEstimator(params, prf)
-        batch_engine = QueryEngine(
-            database.schema, grown_store, batched, cache_dir=tmp_path
-        )
-        batch_engine.cache.bits((2,), [(0,), (1,)])
-        assert batched.call_sizes == [20]
-        expected_tail = SketchEstimator(params, prf).evaluations(
-            grown_store.sketches_for((2,)), (0,)
-        )
-        assert np.array_equal(
-            batch_engine.cache.bits((2,), [(0,)])[0], expected_tail
-        )
-
-    def test_new_subset_growth_seeds_full_columns_and_respills(self, tmp_path):
-        """Growth that only *adds subsets* leaves old columns whole: they
-        seed at full length, and the new directory re-spills them so it
-        survives the old directory's deletion."""
-        import shutil
-
-        params, prf, _ = make_stack(5)
-        database = integer_panel(40, 21)
-
-        def fresh_sketcher():
-            return Sketcher(
-                PrivacyParams(p=P), prf, sketch_bits=8, rng=np.random.default_rng(9)
-            )
-
-        old_store = publish_database(
-            database, fresh_sketcher(), SUBSETS[:4], workers=1, seed=95
-        )
+        unrelated = published_store(integer_panel(25, 99), make_stack(7)[2], seed=92)
         QueryEngine(
-            database.schema, old_store, SketchEstimator(params, prf), cache_dir=tmp_path
-        ).estimate((0,), (1,))
-        old_dir = tmp_path / f"store-{store_content_hash(old_store, prf)}"
+            database.schema, unrelated, SketchEstimator(params, prf), cache_dir=tmp_path
+        ).estimate((0, 1), (1, 1))
 
-        grown_store = publish_database(
-            database, fresh_sketcher(), SUBSETS[:4], workers=1, seed=95
-        )
-        publish_database(
-            database, fresh_sketcher(), [SUBSETS[6]], store=grown_store,
-            workers=1, seed=96,
-        )
+        def sibling_bytes():
+            own = f"store-{store_content_hash(grown_store, prf)}"
+            return {
+                path.relative_to(tmp_path): path.read_bytes()
+                for path in tmp_path.rglob("*")
+                if path.is_file() and own not in path.parts
+            }
+
+        siblings = sibling_bytes()
+        assert len({path.parts[0] for path in siblings}) == 2
         counting = CountingEstimator(params, prf)
         engine = QueryEngine(database.schema, grown_store, counting, cache_dir=tmp_path)
-        first = engine.estimate((0,), (1,))
-        assert counting.block_calls == 0  # full-length seed, no PRF at all
-        # The seeded column was copied into the new directory, so deleting
-        # the old one does not cost the evaluations again.
-        shutil.rmtree(old_dir)
-        warm = CountingEstimator(params, prf)
-        restarted = QueryEngine(
-            database.schema, grown_store, warm, cache_dir=tmp_path
-        )
-        assert restarted.estimate((0,), (1,)).fraction == first.fraction
-        assert warm.block_calls == 0
-
-    def test_migration_refuses_mismatched_hash(self, tmp_path):
-        def tamper(old_dir):
-            import json
-
-            meta_path = old_dir / "meta.json"
-            meta = json.loads(meta_path.read_text())
-            for record in meta["columns"].values():
-                record["hash"] = "0" * 32
-            meta_path.write_text(json.dumps(meta))
-
-        params, prf, database, old_store, grown_store = self.grown_pair(
-            tmp_path, tamper=tamper
-        )
-        counting = CountingEstimator(params, prf)
-        engine = QueryEngine(
-            database.schema, grown_store, counting, cache_dir=tmp_path
-        )
-        engine.estimate((0, 1), (1, 1))
-        # Every recorded hash mismatches -> nothing seeds; full recompute.
-        assert counting.call_sizes == [60]
+        plain = QueryEngine(database.schema, grown_store, SketchEstimator(params, prf))
+        assert engine.estimate((0, 1), (1, 1)) == plain.estimate((0, 1), (1, 1))
+        for cached, fresh in zip(
+            engine.cache.bits((2,), [(0,), (1,)]), plain.cache.bits((2,), [(0,), (1,)])
+        ):
+            assert cached.tobytes() == fresh.tobytes()
+        assert counting.call_sizes == [60, 60]
+        assert sibling_bytes() == siblings
 
     def test_unrelated_store_never_seeds(self, tmp_path):
         params, prf, sketcher = make_stack(5)

@@ -1,16 +1,15 @@
-"""Tests for the in-memory evaluation-cache budget and generation GC."""
+"""Tests for the in-memory and cross-process evaluation-cache budgets."""
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
 
-from repro.core import BiasedPRF, PrivacyParams, Sketch, SketchEstimator, Sketcher
+from repro.core import BiasedPRF, PrivacyParams, SketchEstimator, Sketcher
 from repro.data import bernoulli_panel
-from repro.server import QueryEngine, SketchStore, publish_database
+from repro.server import QueryEngine, publish_database
 from repro.server.evaluation_cache import SketchEvaluationCache
 
 from .conftest import GLOBAL_KEY
@@ -110,106 +109,6 @@ class TestMemoryBudget:
         finally:
             prf.evaluate_block = original
         assert calls["n"] == 0
-
-
-class TestGenerationGC:
-    def _age_directory(self, path, seconds):
-        stamp = time.time() - seconds
-        for name in os.listdir(path):
-            os.utime(os.path.join(path, name), (stamp, stamp))
-        os.utime(path, (stamp, stamp))
-
-    def _grown(self, store):
-        grown = SketchStore()
-        for subset in store.subsets:
-            for sketch in store.sketches_for(subset):
-                grown.publish(sketch)
-        grown.publish(Sketch("late-user", store.subsets[0], 3, 6, 1))
-        return grown
-
-    def test_superseded_generation_reclaimed_after_ttl(self, tmp_path):
-        database, store, estimator = make_stack(num_users=30)
-        old = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
-        old.marginal((0, 1, 2))
-        (old_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        self._age_directory(os.path.join(tmp_path, old_dir), seconds=7200)
-
-        grown = self._grown(store)
-        fresh = QueryEngine(
-            database.schema, grown, estimator,
-            cache_dir=tmp_path, generation_ttl_seconds=3600,
-        )
-        survivors = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        assert old_dir not in survivors
-        assert len(survivors) == 1  # the live generation
-        assert fresh.cache.stats["gc_directories"] == 1
-        assert fresh.cache.stats["gc_bytes"] > 0
-        # Queries still answer correctly (recomputed, not seeded).
-        assert fresh.marginal((0, 1, 2)).shape == (8,)
-
-    def test_recent_generation_survives_and_seeds(self, tmp_path):
-        database, store, estimator = make_stack(num_users=30)
-        QueryEngine(database.schema, store, estimator, cache_dir=tmp_path).marginal(
-            (0, 1, 2)
-        )
-        grown = self._grown(store)
-        fresh = QueryEngine(
-            database.schema, grown, estimator,
-            cache_dir=tmp_path, generation_ttl_seconds=3600,
-        )
-        directories = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        assert len(directories) == 2
-        assert fresh.cache.stats["gc_directories"] == 0
-        assert fresh.cache._seed_dirs  # the sibling still seeds
-
-    def test_live_generation_never_reclaimed(self, tmp_path):
-        database, store, estimator = make_stack(num_users=30)
-        first = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
-        first.marginal((0, 1, 2))
-        (own_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        self._age_directory(os.path.join(tmp_path, own_dir), seconds=7200)
-        # Same store, TTL 0: every *other* generation would be eligible,
-        # but this engine's own directory must survive.
-        QueryEngine(
-            database.schema, store, estimator,
-            cache_dir=tmp_path, generation_ttl_seconds=0,
-        )
-        assert own_dir in os.listdir(tmp_path)
-
-    def test_ttl_none_never_deletes(self, tmp_path):
-        database, store, estimator = make_stack(num_users=30)
-        QueryEngine(database.schema, store, estimator, cache_dir=tmp_path).marginal(
-            (0, 1, 2)
-        )
-        (old_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        self._age_directory(os.path.join(tmp_path, old_dir), seconds=7200)
-        QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
-        assert old_dir in os.listdir(tmp_path)
-
-    def test_unrelated_store_directory_survives_gc(self, tmp_path):
-        # Two *different* stores share one cache root: an expired
-        # directory belonging to the other store is not a superseded
-        # generation of this one and must never be reclaimed.
-        database, store, estimator = make_stack(num_users=30)
-        other_db, other_store, other_estimator = make_stack(num_users=25, seed=99)
-        QueryEngine(
-            other_db.schema, other_store, other_estimator, cache_dir=tmp_path
-        ).marginal((0, 1, 2))
-        (other_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
-        self._age_directory(os.path.join(tmp_path, other_dir), seconds=7200)
-        fresh = QueryEngine(
-            database.schema, store, estimator,
-            cache_dir=tmp_path, generation_ttl_seconds=0,
-        )
-        assert other_dir in os.listdir(tmp_path)
-        assert fresh.cache.stats["gc_directories"] == 0
-
-    def test_negative_ttl_rejected(self, tmp_path):
-        database, store, estimator = make_stack(num_users=20)
-        with pytest.raises(ValueError, match="generation_ttl_seconds"):
-            SketchEvaluationCache(
-                store, estimator, cache_dir=tmp_path, generation_ttl_seconds=-1
-            )
 
 
 def _budget_writer(cache_dir: str, budget: int, seed: int, barrier) -> None:

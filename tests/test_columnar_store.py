@@ -576,6 +576,40 @@ class TestPersistentEvaluationCache:
         with pytest.raises(ValueError, match="corrupt"):
             corrupt.estimate((0, 1), (1, 1))
 
+    def test_flipped_entry_payload_raises_never_answers(self, tmp_path):
+        # Regression: an entry was checked only for its dtype and length
+        # header, so after a restart inverted payload bytes were served
+        # as a different estimate (0.356 fresh, 0.644 inverted).
+        params, prf, database, store = make_store(num_users=400)
+        estimator = SketchEstimator(params, prf)
+        engine = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
+        engine.estimate((0, 1), (1, 1))
+        path = engine.cache._entry_path((0, 1), (1, 1))
+        raw = np.load(path)
+        raw[8:-16] ^= 0xFF  # every payload byte; header and digest intact
+        np.save(path, raw)
+        restarted = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="corrupt.*digest mismatch"):
+            restarted.estimate((0, 1), (1, 1))
+
+    def test_misplaced_entry_raises_never_answers(self, tmp_path):
+        # Regression: (0, 0)'s entry copied over (1, 1)'s was served as
+        # the (1, 1) estimate (0.219, the (0, 0) answer).
+        params, prf, database, store = make_store(num_users=400)
+        estimator = SketchEstimator(params, prf)
+        engine = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
+        engine.estimate((0, 1), (1, 1))
+        engine.estimate((0, 1), (0, 0))
+        shutil.copyfile(
+            engine.cache._entry_path((0, 1), (0, 0)),
+            engine.cache._entry_path((0, 1), (1, 1)),
+        )
+        restarted = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="corrupt.*digest mismatch"):
+            restarted.estimate((0, 1), (1, 1))
+        # The untouched entry still answers.
+        assert restarted.estimate((0, 1), (0, 0)) == engine.estimate((0, 1), (0, 0))
+
     def test_store_hash_distinguishes_nul_boundary_ids(self):
         # ["a\x00", "b"] and ["a", "\x00b"] concatenate identically; the
         # length-prefixed hash must keep them in distinct cache dirs.
@@ -777,6 +811,7 @@ class TestCliFlags:
             line for line in out_second.splitlines() if "estimate" in line
         ]
         assert len([p for p in tmp_path.iterdir() if p.name.startswith("store-")]) == 1
+        assert " 0 miss(es)" in out_second
 
     def test_demo_jsonl_round_trip(self, capsys):
         from repro.cli import main

@@ -10,6 +10,7 @@ from repro.core import (
     PrivacyParams,
     SketchEstimator,
     Sketcher,
+    combine_from_weight_counts,
     combine_mixed_bits,
     combine_sketch_groups,
     combine_virtual_bits,
@@ -86,6 +87,30 @@ class TestPerturbationMatrix:
     def test_condition_grows_as_p_approaches_half(self):
         conditions = [condition_number(5, p) for p in (0.1, 0.25, 0.4, 0.45)]
         assert conditions == sorted(conditions)
+
+    def test_memoised_kernel_is_bit_identical_and_read_only(self):
+        from repro.core.combine import _kernel
+
+        for k, p in [(1, 0.3), (3, 0.25), (6, 0.45)]:
+            memo, condition = _kernel(k, p)
+            fresh = perturbation_matrix(k, p)
+            assert memo.tobytes() == fresh.tobytes()
+            assert condition == float(np.linalg.cond(fresh))
+            assert _kernel(k, p)[0] is memo
+            assert not memo.flags.writeable
+            with pytest.raises(ValueError):
+                memo[0, 0] = 0.0
+            # The public matrix stays a fresh, writable array per call.
+            assert fresh.flags.writeable
+            assert perturbation_matrix(k, p) is not fresh
+        counts = [7, 11, 5, 2]
+        combined = combine_from_weight_counts(counts, 25, 0.3)
+        histogram = np.asarray(counts, dtype=np.float64) / 25
+        fresh = perturbation_matrix(3, 0.3)
+        assert combined.weight_distribution.tobytes() == (
+            np.linalg.solve(fresh, histogram).tobytes()
+        )
+        assert combined.condition == float(np.linalg.cond(fresh))
 
 
 class TestWeightHistogram:

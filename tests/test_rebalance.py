@@ -272,6 +272,84 @@ class TestLiveRebalanceParity:
             service.close()
 
 
+class TestWarmCarry:
+    """A handoff carries every warm column: no worker misses on a repeat."""
+
+    def test_split_and_merge_carry_every_warm_column(self, tmp_path):
+        store, prf, engine = make_stack(BiasedPRF)
+        expected = [dumps_response(engine.execute(r)) for r in REQUESTS]
+        service = ShardedService.from_store(store, prf, 2, tmp_path, cache=True)
+        service.start()
+
+        def misses() -> dict:
+            counts = {}
+            for spec in service.shard_map.shards:
+                host, port = service._addresses[spec.shard_id]
+                with RemoteQueryEngine(host, port, service._token) as probe:
+                    counts[spec.shard_id] = probe.status()["cache"]["misses"]
+            return counts
+
+        def repeat() -> None:
+            for request, want in zip(REQUESTS, expected):
+                assert dumps_response(service.coordinator.execute(request)) == want
+
+        try:
+            repeat()  # warm every column the request set touches
+            out = service.rebalance_split("shard-0")
+            for _handoff in ("split", "merge"):
+                before = misses()
+                assert len(before) == (3 if _handoff == "split" else 2)
+                repeat()
+                assert misses() == before, _handoff
+                if _handoff == "split":
+                    service.rebalance_merge(out["donor"], out["recipient"])
+        finally:
+            service.close()
+
+    def test_sidecar_entry_failing_its_digest_loads_cold(self, tmp_path):
+        from repro.server.shard_worker import _load_warm_sidecar, _save_warm_sidecar
+
+        bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.int8)
+        entries = {((0, 1), (1, 1)): bits, ((2,), (0,)): 1 - bits}
+        path = str(tmp_path / "warm.npz")
+        assert _save_warm_sidecar(path, entries) == 2
+        assert {k: v.tobytes() for k, v in _load_warm_sidecar(path).items()} == {
+            k: v.tobytes() for k, v in entries.items()
+        }
+        with np.load(path) as archive:
+            arrays = {name: archive[name].copy() for name in archive.files}
+        arrays["e0"][8] ^= 1  # one payload bit of ((0, 1), (1, 1))
+        np.savez(path, **arrays)
+        loaded = _load_warm_sidecar(path)
+        assert list(loaded) == [((2,), (0,))]
+        assert loaded[((2,), (0,))].tobytes() == (1 - bits).tobytes()
+
+    def test_checkpoint_listing_cache_generations_still_recovers(self, tmp_path):
+        """Older checkpoints also listed each worker's ``store-*``
+        directories under ``cache_state["generations"]``; such a
+        checkpoint still loads, re-enables the cache and rejoins warm."""
+        store, prf, engine = make_stack(BiasedPRF, num_users=40)
+        expected = [dumps_response(engine.execute(r)) for r in REQUESTS]
+        service = ShardedService.from_store(store, prf, 2, tmp_path, cache=True)
+        with service.start():
+            for request in REQUESTS:
+                service.coordinator.execute(request)
+        path = tmp_path / "shard_map.json"
+        payload = json.loads(path.read_text())
+        assert payload["cache_state"] == {"enabled": True, "budget_bytes": None}
+        payload["cache_state"]["generations"] = {
+            spec["shard_id"]: sorted(os.listdir(tmp_path / "cache" / spec["shard_id"]))
+            for spec in payload["shards"]
+        }
+        path.write_text(json.dumps(payload))
+        with ShardedService.from_checkpoint(tmp_path, prf).start() as recovered:
+            for request, want in zip(REQUESTS, expected):
+                assert dumps_response(recovered.coordinator.execute(request)) == want
+            for host, port in recovered._addresses.values():
+                with RemoteQueryEngine(host, port, recovered._token) as probe:
+                    assert probe.status()["cache"]["misses"] == 0
+
+
 class TestRebalanceValidation:
     def test_bare_coordinator_refuses_rebalance_kinds(self):
         store, prf, engine = make_stack(BiasedPRF, num_users=20)
