@@ -473,12 +473,12 @@ class TestCacheControls:
         )
         return params, prf, database, old_store, grown_store
 
-    def test_grown_store_computes_full_columns_and_leaves_siblings_intact(
-        self, tmp_path
-    ):
-        """A grown store gets a fresh directory of its own: it answers
-        exactly from full columns and never reads, writes or deletes its
-        older generation's directory or an unrelated store's."""
+    def test_grown_store_seeds_from_old_directory(self, tmp_path):
+        """A grown store beside its old directory no longer seeds from it:
+        it gets a fresh directory of its own, answers exactly from full
+        columns, spills them for a warm restart, and never reads, writes
+        or deletes its older generation's directory or an unrelated
+        store's."""
         params, prf, database, old_store, grown_store = self.grown_pair(tmp_path)
         unrelated = published_store(integer_panel(25, 99), make_stack(7)[2], seed=92)
         QueryEngine(
@@ -504,6 +504,13 @@ class TestCacheControls:
         ):
             assert cached.tobytes() == fresh.tobytes()
         assert counting.call_sizes == [60, 60]
+        assert sibling_bytes() == siblings
+        # The full columns were spilled to the grown store's own directory:
+        # a fresh engine answers from it with zero PRF calls.
+        warm = CountingEstimator(params, prf)
+        warm_engine = QueryEngine(database.schema, grown_store, warm, cache_dir=tmp_path)
+        assert warm_engine.estimate((0, 1), (1, 1)) == plain.estimate((0, 1), (1, 1))
+        assert warm.block_calls == 0
         assert sibling_bytes() == siblings
 
     def test_unrelated_store_never_seeds(self, tmp_path):

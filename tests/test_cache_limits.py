@@ -1,15 +1,17 @@
-"""Tests for the in-memory and cross-process evaluation-cache budgets."""
+"""Tests for the in-memory and cross-process evaluation-cache budgets, and
+for the rule that no other store directory is ever reclaimed."""
 
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import BiasedPRF, PrivacyParams, SketchEstimator, Sketcher
+from repro.core import BiasedPRF, PrivacyParams, Sketch, SketchEstimator, Sketcher
 from repro.data import bernoulli_panel
-from repro.server import QueryEngine, publish_database
+from repro.server import QueryEngine, SketchStore, publish_database
 from repro.server.evaluation_cache import SketchEvaluationCache
 
 from .conftest import GLOBAL_KEY
@@ -109,6 +111,70 @@ class TestMemoryBudget:
         finally:
             prf.evaluate_block = original
         assert calls["n"] == 0
+
+
+class TestGenerationGC:
+    """No generation is ever garbage-collected: an engine reads and writes
+    only its own store's directory, so an older generation of the same
+    store and an unrelated store's directory survive byte for byte,
+    however old they are."""
+
+    def _age_directory(self, path, seconds):
+        stamp = time.time() - seconds
+        for name in os.listdir(path):
+            os.utime(os.path.join(path, name), (stamp, stamp))
+        os.utime(path, (stamp, stamp))
+
+    def _grown(self, store):
+        grown = SketchStore()
+        for subset in store.subsets:
+            for sketch in store.sketches_for(subset):
+                grown.publish(sketch)
+        grown.publish(Sketch("late-user", store.subsets[0], 3, 6, 1))
+        return grown
+
+    def _snapshot(self, path):
+        return {
+            name: open(os.path.join(path, name), "rb").read()
+            for name in sorted(os.listdir(path))
+            if os.path.isfile(os.path.join(path, name))
+        }
+
+    def test_ttl_none_never_deletes(self, tmp_path):
+        database, store, estimator = make_stack(num_users=30)
+        QueryEngine(database.schema, store, estimator, cache_dir=tmp_path).marginal(
+            (0, 1, 2)
+        )
+        (old_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
+        old_path = os.path.join(tmp_path, old_dir)
+        self._age_directory(old_path, seconds=7200)
+        before = self._snapshot(old_path)
+        # A grown store supersedes the old generation; its engine still
+        # leaves the aged directory in place, byte for byte.
+        fresh = QueryEngine(
+            database.schema, self._grown(store), estimator, cache_dir=tmp_path
+        )
+        assert fresh.marginal((0, 1, 2)).shape == (8,)
+        directories = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
+        assert len(directories) == 2
+        assert self._snapshot(old_path) == before
+
+    def test_unrelated_store_directory_survives_gc(self, tmp_path):
+        # Two *different* stores share one cache root: the other store's
+        # aged directory is never reclaimed or rewritten.
+        database, store, estimator = make_stack(num_users=30)
+        other_db, other_store, other_estimator = make_stack(num_users=25, seed=99)
+        QueryEngine(
+            other_db.schema, other_store, other_estimator, cache_dir=tmp_path
+        ).marginal((0, 1, 2))
+        (other_dir,) = [d for d in os.listdir(tmp_path) if d.startswith("store-")]
+        other_path = os.path.join(tmp_path, other_dir)
+        self._age_directory(other_path, seconds=7200)
+        before = self._snapshot(other_path)
+        fresh = QueryEngine(database.schema, store, estimator, cache_dir=tmp_path)
+        assert fresh.marginal((0, 1, 2)).shape == (8,)
+        assert other_dir in os.listdir(tmp_path)
+        assert self._snapshot(other_path) == before
 
 
 def _budget_writer(cache_dir: str, budget: int, seed: int, barrier) -> None:
