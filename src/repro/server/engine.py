@@ -19,7 +19,9 @@ live once, in :class:`~repro.server.query_core.QueryCore`; this engine
 is the core with one in-process shard — it answers the core's integer
 partial requests (:meth:`QueryEngine.partial`) from the cached
 evaluation columns of its own store, exactly as a shard worker does for
-the sharded coordinator.
+the sharded coordinator.  A request whose partials are all memoised is
+answered by :meth:`~repro.server.query_core.QueryCore.answer_now`
+without computing, which is how a server answers it on its event loop.
 
 The engine never touches raw profiles — everything flows from published
 sketches through the public PRF.
@@ -140,8 +142,16 @@ class QueryEngine(QueryCore):
     def _sketched(self, subset: Subset) -> bool:
         return self.store.has_subset(subset)
 
-    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+    def _compute(self, partial: ShardPartialRequest) -> List[dict]:
         return [self.partial(partial)]
+
+    def _peek(self, partial: ShardPartialRequest) -> Optional[List[dict]]:
+        """:meth:`partial`'s answer if it is memoised and current, else
+        ``None``; matrix rows are never memoised."""
+        if partial.op == "matrix_rows":
+            return None
+        memo = self._partials.peek(*self._partial_slot(partial))
+        return None if memo is None else [_fresh_partial(partial.op, memo)]
 
     def partial(self, request: ShardPartialRequest) -> dict:
         """Integer sufficient statistics of this store's users.
@@ -162,14 +172,6 @@ class QueryEngine(QueryCore):
             return self._partial(request)
         memo = self._partials.get(*self._partial_slot(request), lambda: self._partial(request))
         return _fresh_partial(request.op, memo)
-
-    def memoised_partial(self, request: ShardPartialRequest) -> Optional[dict]:
-        """:meth:`partial`'s answer if it is memoised and current, else
-        ``None``; never computes, so it is cheap enough for an event loop."""
-        if request.op == "matrix_rows":
-            return None
-        memo = self._partials.peek(*self._partial_slot(request))
-        return None if memo is None else _fresh_partial(request.op, memo)
 
     def _partial_slot(self, request: ShardPartialRequest) -> tuple:
         """The partial memo's key and snapshot for ``request``."""

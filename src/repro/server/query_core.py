@@ -11,7 +11,8 @@ of the eight protocol families exactly once on top of that fact:
    error messages and their precedence are written);
 2. build one :class:`~repro.protocol.messages.ShardPartialRequest`;
 3. hand it to :meth:`QueryCore._gather`, which returns the partials of
-   every shard;
+   every shard (computed, or under :meth:`QueryCore.answer_now` only
+   peeked from a memo);
 4. merge the partials exactly (integer addition, row concatenation) and
    run the float arithmetic once — :meth:`SketchEstimator.estimate_from_counts`,
    :func:`~repro.core.combine.combine_from_weight_counts` or the matrix
@@ -19,11 +20,13 @@ of the eight protocol families exactly once on top of that fact:
 
 Two classes plug a gather into the core.
 :class:`~repro.server.engine.QueryEngine` answers the partial in process
-over its own store: a single store is the one-shard case.
+over its own store: a single store is the one-shard case, and its
+memoised partials let :meth:`QueryCore.answer_now` answer a warm request
+without computing anything.
 :class:`~repro.server.shard_coordinator.ShardCoordinator` scatters it to its
-shard workers.  Because both run the same handler on the same merged
-integers, sharded answers are bit-identical to single-store answers by
-construction.
+shard workers, so it never answers now.  Because both run the same
+handler on the same merged integers, sharded answers are bit-identical
+to single-store answers by construction.
 
 :class:`QuerySurface` holds the public wrapper methods (``estimate`` …
 ``evaluate``), each a thin ``execute`` call; the core, and the remote
@@ -32,6 +35,7 @@ client :class:`~repro.server.remote.RemoteQueryEngine`, share it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -81,6 +85,18 @@ Subset = Tuple[int, ...]
 #: distinct targets runs in bounded memory.
 MEMO_ENTRIES = 64
 _MISS = object()
+
+#: True while :meth:`QueryCore.answer_now` runs a handler: every gather
+#: then only peeks.  A contextvar, so a serving event loop in peek mode
+#: and the dispatch threads computing beside it never see each other's
+#: mode.
+_PEEK_ONLY: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_peek_only", default=False
+)
+
+
+class _NotMemoised(Exception):
+    """A peek found no current memo entry: the request must be computed."""
 
 
 class SnapshotMemo:
@@ -261,10 +277,14 @@ class QueryCore(QuerySurface):
         search is order-sensitive, and error messages list them);
     ``_sketched(subset)``
         catalog membership;
-    ``_gather(partial)``
+    ``_compute(partial)``
         the per-shard answers to one
         :class:`~repro.protocol.messages.ShardPartialRequest`, in
-        user-range order.
+        user-range order;
+    ``_peek(partial)``
+        the same answers if they are memoised and current, else
+        ``None``, without computing anything (needed only by a core
+        that keeps :meth:`answer_now`).
 
     ``execute`` is safe to call from a serving thread pool: the one
     mutable piece of state here, the partition memo, is a
@@ -284,8 +304,20 @@ class QueryCore(QuerySurface):
     def _sketched(self, subset: Subset) -> bool:
         raise NotImplementedError
 
-    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+    def _compute(self, partial: ShardPartialRequest) -> List[dict]:
         raise NotImplementedError
+
+    def _peek(self, partial: ShardPartialRequest) -> Optional[List[dict]]:
+        raise NotImplementedError
+
+    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+        """The per-shard partials: computed, or only peeked in peek mode."""
+        if not _PEEK_ONLY.get():
+            return self._compute(partial)
+        partials = self._peek(partial)
+        if partials is None:
+            raise _NotMemoised
+        return partials
 
     # -- the dispatch surface ------------------------------------------
     def execute(self, request: QueryRequest) -> QueryResponse:
@@ -311,11 +343,37 @@ class QueryCore(QuerySurface):
             )
         return QueryResponse(kind=request.kind, result=handler(self, request))
 
+    def answer_now(self, request: QueryRequest) -> Optional[QueryResponse]:
+        """:meth:`execute`'s answer if every partial it needs is memoised
+        and current, else ``None``.
+
+        Runs the normal handler with every gather (and the partition
+        lookup) only peeking, so it computes nothing and a serving event
+        loop can call it before it hands a request to a dispatch
+        thread.  Query errors raise exactly as from :meth:`execute`:
+        the handler checks in the same order.
+        """
+        handler = self._HANDLERS.get(request.kind)
+        if handler is None:
+            return None
+        token = _PEEK_ONLY.set(True)
+        try:
+            return QueryResponse(kind=request.kind, result=handler(self, request))
+        except _NotMemoised:
+            return None
+        finally:
+            _PEEK_ONLY.reset(token)
+
     # -- the exact-cover partition memo --------------------------------
     def _find_partition(self, target: Subset) -> Optional[List[Subset]]:
         """Memoised :meth:`_search_partition`, recomputed when the catalog
         changes (publishing into an *existing* subset cannot change any
         partition)."""
+        if _PEEK_ONLY.get():
+            partition = self._partitions.peek(target, self._catalog(), _MISS)
+            if partition is _MISS:
+                raise _NotMemoised
+            return partition
         return self._partitions.get(
             target, self._catalog(), lambda: self._search_partition(target)
         )

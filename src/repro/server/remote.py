@@ -22,20 +22,24 @@ because every message that travels is already defined by
   the accountant's ledger and the paid-subset set are only updated after
   the charge succeeds in full.
 
-Requests are **dispatched off the event loop**: ``engine.execute`` runs
-on a bounded ``ThreadPoolExecutor`` (``pool_size`` workers), so the loop
-stays responsive while queries burn CPU, and — with the compiled kernel
-tier (:mod:`repro.core.kernels`) releasing the GIL through the fused
-Philox hot loop — concurrent cold queries from different connections
-genuinely run on multiple cores in one process.  Everything *around*
-dispatch (parsing, auth, rate limiting, privacy accounting) stays on
-the event loop, where it is single-threaded by construction; each
-connection awaits its own dispatch before reading the next line, so
-per-analyst request ordering is exactly what it was inline.
-``pool_size=0`` restores inline dispatch (the benchmark baseline), and
-a server over a *stateful* PRF (the spec-test ``TrueRandomOracle``
-memoises draws un-locked) falls back to inline automatically unless a
-pool size is forced.
+Requests that need **computation are dispatched off the event loop**:
+``engine.execute`` runs on a bounded ``ThreadPoolExecutor``
+(``pool_size`` workers), so the loop stays responsive while queries
+burn CPU, and — with the compiled kernel tier (:mod:`repro.core.kernels`)
+releasing the GIL through the fused Philox hot loop — concurrent cold
+queries from different connections genuinely run on multiple cores in
+one process.  A request whose integer partials are all memoised needs
+none: the engine's ``answer_now``
+(:meth:`~repro.server.query_core.QueryCore.answer_now`) answers it on
+the loop in tens of microseconds, which is less than the thread-pool
+round trip it skips.  Everything *around* dispatch (parsing, auth, rate
+limiting, privacy accounting) stays on the event loop, where it is
+single-threaded by construction; each connection awaits its own
+dispatch before reading the next line, so per-analyst request ordering
+is exactly what it was inline.  ``pool_size=0`` restores inline
+dispatch (the benchmark baseline), and a server over a *stateful* PRF
+(the spec-test ``TrueRandomOracle`` memoises draws un-locked) falls back
+to inline automatically unless a pool size is forced.
 
 :class:`RemoteQueryEngine` is the matching blocking client: it speaks
 the same protocol over a plain socket and exposes the same method
@@ -203,10 +207,8 @@ class RemoteServer:
         self._busy_tasks: Set[asyncio.Task] = set()
         self._closing = False
 
-    def _executor(self) -> Optional[ThreadPoolExecutor]:
-        """The dispatch pool, created on first use; ``None`` = inline."""
-        if self._pool_size == 0:
-            return None
+    def _executor(self) -> ThreadPoolExecutor:
+        """The dispatch pool (``pool_size`` > 0), created on first use."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._pool_size, thread_name_prefix="repro-exec"
@@ -386,8 +388,10 @@ class RemoteServer:
 
         Parsing, rate limiting, and the budget charge run on the event
         loop (synchronously — no await crosses the charge, so the
-        accountant and paid-subset bookkeeping stay loop-serialized);
-        only ``engine.execute`` is awaited on the dispatch pool.
+        accountant and paid-subset bookkeeping stay loop-serialized).
+        Then the engine's ``answer_now`` may answer from memoised
+        partials on the loop; only a request it cannot answer awaits
+        ``engine.execute`` on the dispatch pool, which is created then.
 
         A ``deadline_ms`` field on the envelope is honoured here: an
         already-expired deadline is refused before dispatch, a live one
@@ -426,16 +430,16 @@ class RemoteServer:
             if deadline is not None:
                 deadline.check()
             self._charge(analyst, request)
-            pool = self._executor()
-            # Duck-typed: an engine may answer some requests at once
-            # (a shard worker's memoised partials), skipping the pool.
+            # Duck-typed: an engine may answer a request at once from
+            # its memoised partials; only real computation is dispatched.
             answer_now = getattr(self.engine, "answer_now", None)
             response = None if answer_now is None else answer_now(request)
-            if response is None and pool is None:
+            if response is None and self._pool_size == 0:
                 response = run_with_deadline(self.engine.execute, deadline, request)
             elif response is None:
                 future = asyncio.get_running_loop().run_in_executor(
-                    pool, run_with_deadline, self.engine.execute, deadline, request
+                    self._executor(), run_with_deadline, self.engine.execute,
+                    deadline, request,
                 )
                 if deadline is None:
                     response = await future

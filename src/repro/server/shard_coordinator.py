@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.estimator import SketchEstimator
 from ..protocol.messages import (
+    QueryRequest,
     QueryResponse,
     RebalanceMergeRequest,
     RebalanceSplitRequest,
@@ -488,8 +489,13 @@ class ShardCoordinator(QueryCore):
     def _sketched(self, subset: Subset) -> bool:
         return subset in self._subset_set
 
-    def _gather(self, partial: ShardPartialRequest) -> List[dict]:
+    def _compute(self, partial: ShardPartialRequest) -> List[dict]:
         return self._scatter(partial)
+
+    def answer_now(self, request: QueryRequest) -> Optional[QueryResponse]:
+        """Never: the coordinator keeps no partials, so every request is a
+        round trip to its shards."""
+        return None
 
     # -- admin kinds (live rebalancing) --------------------------------
     def _require_executor(self):

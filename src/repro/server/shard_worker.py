@@ -207,7 +207,7 @@ class ShardWorkerEngine:
         self._cache_dir = cache_dir
         self._cache_budget_bytes = cache_budget_bytes
         self._gate = _ReadWriteGate()
-        # One staged (op, token, store, carry) tuple from a rebalance
+        # One staged (op, token, engine, stats) tuple from a rebalance
         # ``prepare`` stage, awaiting its ``commit``.  In-memory only:
         # a crash discards it, and recovery works from the checkpointed
         # files alone.
@@ -238,15 +238,18 @@ class ShardWorkerEngine:
             return self.engine.execute(request)
 
     def answer_now(self, request: QueryRequest) -> Optional[QueryResponse]:
-        """The reply to a ``shard_partial`` whose answer is memoised, or
-        ``None``.  It computes nothing and never waits, so the server
-        answers it on its event loop instead of handing it to a
-        dispatch thread and back."""
-        if request.kind != ShardPartialRequest.kind:
-            return None
+        """The reply to ``request`` if every partial it needs is memoised,
+        else ``None``: :meth:`QueryEngine.answer_now`, with a
+        ``shard_partial`` peeked directly.  It computes nothing and never
+        waits (a held gate means ``None``), so the server answers it on
+        its event loop instead of handing it to a dispatch thread."""
         with self._gate.read_if_open() as entered:
-            result = self.engine.memoised_partial(request) if entered else None
-        return None if result is None else QueryResponse(kind=request.kind, result=result)
+            if not entered:
+                return None
+            if request.kind != ShardPartialRequest.kind:
+                return self.engine.answer_now(request)
+            partials = self.engine._peek(request)
+        return None if partials is None else QueryResponse(kind=request.kind, result=partials[0])
 
     # -- rebalance ops (service → worker; not on the analyst surface) --
     def _range_masks(
@@ -326,7 +329,7 @@ class ShardWorkerEngine:
         # hand: the later ``shard_drop prepare`` becomes a no-op lookup
         # instead of a second full column rebuild on the serving path.
         keep_carry = self._warm_entries(left_columns, keep=keep_left)
-        self._staged = (
+        self._stage(
             "drop",
             boundary,
             left_store,
@@ -340,8 +343,11 @@ class ShardWorkerEngine:
             "warm_entries": warm_count,
         }
 
-    def _install_store(self, store, carry: Dict[tuple, np.ndarray]) -> None:
-        """Swap the wrapped engine onto ``store``, carrying warm entries.
+    def _stage(
+        self, op: str, token: str, store, carry: Dict[tuple, np.ndarray], stats: dict
+    ) -> None:
+        """Build the post-handoff engine over ``store`` now, for a later
+        commit to swap in.
 
         A fresh :class:`QueryEngine` (and therefore a fresh
         content-addressed cache directory) is built rather than mutated
@@ -349,7 +355,9 @@ class ShardWorkerEngine:
         sizes, and its strict oversized-entry check would — correctly —
         refuse to serve them against a shrunken store.  Carried entries
         are installed *and re-spilled to disk*, so a later watchdog
-        restart of this worker rejoins warm.
+        restart of this worker rejoins warm.  All of this (hashing the
+        store, writing cache files) runs here, in ``prepare``, while the
+        live engine keeps serving.
         """
         engine = QueryEngine(
             None,
@@ -359,11 +367,11 @@ class ShardWorkerEngine:
             cache_budget_bytes=self._cache_budget_bytes,
         )
         _seed_warm(engine, carry)
-        self.engine = engine
-        self.cache = engine.cache
+        self._staged = (op, token, engine, stats)
 
     def _commit_staged(self, op: str, token: str) -> dict:
-        """Swap a staged engine in — the only work under the barrier."""
+        """Swap the staged engine in: a pointer swap, the only work
+        under the barrier."""
         if self._staged is None or self._staged[:2] != (op, token):
             have = None if self._staged is None else self._staged[:2]
             raise ValueError(
@@ -371,9 +379,10 @@ class ShardWorkerEngine:
                 f"(staged: {have}); the prepare stage must run first "
                 "on this same worker process"
             )
-        _op, _token, store, carry, stats = self._staged
+        _op, _token, engine, stats = self._staged
         self._staged = None
-        self._install_store(store, carry)
+        self.engine = engine
+        self.cache = engine.cache
         return stats
 
     def _adopt(self, request: ShardAdoptRequest) -> dict:
@@ -417,7 +426,7 @@ class ShardWorkerEngine:
             if subset not in own_columns and (subset, value) not in carry:
                 carry[(subset, value)] = extra
         stats = dict(_range_summary(merged), carried_entries=len(carry))
-        self._staged = ("adopt", request.save_path, merged_store, carry, stats)
+        self._stage("adopt", request.save_path, merged_store, carry, stats)
         return stats
 
     def _drop(self, request: ShardDropRequest) -> dict:
@@ -431,7 +440,7 @@ class ShardWorkerEngine:
             return self._commit_staged("drop", request.boundary)
         if self._staged is not None and self._staged[:2] == ("drop", request.boundary):
             # The carve snapshot already staged this shed.
-            return self._staged[4]
+            return self._staged[3]
         columns = self.engine.store.to_columns()
         left_columns, right_columns = split_columns_at(columns, request.boundary)
         if not right_columns:
@@ -447,7 +456,7 @@ class ShardWorkerEngine:
             left_columns, keep=self._range_masks(columns, request.boundary)
         )
         stats = dict(_range_summary(left_columns), carried_entries=len(carry))
-        self._staged = (
+        self._stage(
             "drop",
             request.boundary,
             SketchStore.from_columns(left_columns),
